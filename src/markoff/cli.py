@@ -194,11 +194,11 @@ def cmd_count_solutions(args) -> int:
     ctx = MarkoffContext(mod, a)
     if args.brute:
         budget = _budget(args, DEFAULT_PAIR_BUDGET)
-        report = census(ctx, args.n, args.convention, budget)
+        solutions = enumerate_solutions(ctx, args.n, args.convention, budget)
+        report = census(ctx, args.n, args.convention, solutions=solutions)
         if args.solutions_out:
-            sols = enumerate_solutions(ctx, args.n, args.convention, budget)
             with open(args.solutions_out, "w", encoding="utf-8") as fp:
-                write_solutions_jsonl(sols, fp)
+                write_solutions_jsonl(solutions, fp)
         _emit(report.to_json())
     else:
         report = count_finite_field(args.q, ctx.beta, args.n)

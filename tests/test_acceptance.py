@@ -7,13 +7,15 @@ census_constants.json at the repository root.
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from helpers import GOLDEN_ROOT, GOLDEN_TREE, P5, P13, context, random_nonconstant, triple_of
 from markoff.cli import main
 from markoff.counting import count_C0, count_C_beta, count_E, cumulative_signatures, divisors
-from markoff.euclid import TreeId, layer, map_unit
+from markoff.errors import AllConstant
+from markoff.euclid import EuclidTriple, TreeId, layer, map_unit, membership
 from markoff.field import PrimeModulus
 from markoff.oracle import census, enumerate_solutions, oracle_C_beta, oracle_E_bfs, oracle_E_coprime
 from markoff.poly import parse_poly
@@ -144,6 +146,34 @@ def test_criterion_8_emptiness(capsys):
         report(8, "emptiness iff q = 3 (mod 4)")
 
 
+# (q, A, n) points of the degree-sorted census whose non-fundamental class is
+# split per divisor term: (5, t, 5) has the terms d = 2 and d = 3, the others
+# d = 2 at a larger deg A or q
+DIVISOR_GRID = ((5, "t", 5), (5, "t^2", 4), (5, "t^3+2", 5), (13, "t", 3))
+
+
+def nonfundamental_by_divisor(ctx, n, solutions):
+    """Non-fundamental height-n solutions counted per divisor term
+    d = (n + beta) / (alpha + beta) of their signature's (alpha, beta)-tree."""
+    counts = Counter()
+    for triple in solutions:
+        if triple.height() != n:
+            continue
+        sorted_triple = sort_triple(triple)[0]
+        if is_fundamental(sorted_triple):
+            continue
+        try:
+            ctx.descend(sorted_triple)
+        except AllConstant:
+            continue
+        tree = membership(EuclidTriple(*sorted_triple.signature()), ctx.beta)
+        assert tree is not None
+        d, rest = divmod(n + tree.beta, tree.alpha + tree.beta)
+        assert rest == 0
+        counts[d] += 1
+    return counts
+
+
 def test_criterion_9_census_structure(capsys):
     ctx = context(P5, "t")
     table = []
@@ -174,8 +204,29 @@ def test_criterion_9_census_structure(capsys):
     # brute counts (e.g. 80 at n = 1, factor 2 above the sorted census)
     assert table[3]["formula"]["value"] == 80
     assert table[3]["fundamental_count"] == 40
+    # per divisor term: count / term = 1/2 for every d (degree-sorted only;
+    # ordered multiplicities depend on ties in the signature)
+    grid = []
+    for q, a_expr, n in DIVISOR_GRID:
+        grid_ctx = context(PrimeModulus(q), a_expr)
+        solutions = enumerate_solutions(grid_ctx, n, "degree_sorted")
+        rep = census(grid_ctx, n, "degree_sorted", solutions=solutions)
+        assert rep.fundamental_ratio == Fraction(1, 2)
+        counts = nonfundamental_by_divisor(grid_ctx, n, solutions)
+        assert sum(counts.values()) == rep.nonfundamental_count
+        terms = {t.d: t.contribution for t in rep.formula.terms if t.d > 1}
+        assert set(counts) == set(terms)
+        for d, term in sorted(terms.items()):
+            ratio = Fraction(counts[d], term)
+            assert ratio == Fraction(1, 2)
+            grid.append({"q": q, "A": a_expr, "n": n, "d": d, "count": counts[d],
+                         "term": term, "ratio": str(ratio)})
+    assert [row["d"] for row in grid if (row["q"], row["A"], row["n"]) == (5, "t", 5)] == [2, 3]
     ARTIFACT.write_text(
-        json.dumps({"measured_constants": constants, "census": table}, indent=2)
+        json.dumps(
+            {"measured_constants": constants, "census": table, "divisor_grid": grid},
+            indent=2,
+        )
     )
     assert constants == {
         "ordered.fundamental": "3/2",
@@ -184,7 +235,8 @@ def test_criterion_9_census_structure(capsys):
         "degree_sorted.nonfundamental": "1/2",
     }
     with capsys.disabled():
-        report(9, f"census constants {constants} persisted to {ARTIFACT.name}")
+        report(9, f"census constants {constants}, 1/2 per divisor term on "
+                  f"{len(DIVISOR_GRID)} more points, persisted to {ARTIFACT.name}")
 
 
 def test_criterion_10_identity_suite(capsys):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers import GOLDEN_TREE, P13, triple_of
+from markoff import cli, oracle
 from markoff.cli import main
 from markoff.triples import MarkoffTriple
 
@@ -194,3 +195,20 @@ class TestCountSolutions:
         assert len(lines) == obj["total"] == 48
         triples = [MarkoffTriple.from_json(json.loads(line)) for line in lines]
         assert all(t.x.modulus.p == 5 for t in triples)
+
+    def test_solutions_out_enumerates_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        enumerate_solutions = oracle.enumerate_solutions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_solutions(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_solutions", counted)
+        monkeypatch.setattr(oracle, "enumerate_solutions", counted)
+        code, obj = run_json(
+            capsys, "count", "solutions", "--q", "5", "--A", "t", "--n", "2",
+            "--brute", "--convention", "ordered", "--solutions-out", str(tmp_path / "s.jsonl"),
+        )
+        assert code == 0 and obj["total"] > 0
+        assert len(calls) == 1

@@ -1,9 +1,10 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from helpers import P5, P7, P13, context
+from markoff import oracle
 from markoff.errors import AllConstant, BudgetExceeded
 from markoff.oracle import (
     census,
@@ -12,10 +13,11 @@ from markoff.oracle import (
     oracle_E,
     oracle_E_bfs,
     oracle_E_coprime,
+    pair_count,
 )
 from markoff.counting import count_C_beta, count_E
 from markoff.poly import Polynomial
-from markoff.triples import is_fundamental, sort_triple
+from markoff.triples import MarkoffTriple, is_fundamental, sort_triple
 
 
 class TestEnumerate:
@@ -39,27 +41,43 @@ class TestEnumerate:
         assert filtered == sorted_conv
 
     def test_matches_full_cubic_scan(self):
-        # validation case: every (x, y, z) with degrees <= 1 over F_5, A = 1
-        ctx = context(P5, "1")
+        # validation case: every (x, y, z) with degrees <= 1 over F_5
         polys = []
         for vec in product(range(5), repeat=2):
             k = len(vec)
             while k and vec[k - 1] == 0:
                 k -= 1
             polys.append(Polynomial(P5, vec[:k]))
-        brute = set()
-        for x in polys:
-            for y in polys:
-                for z in polys:
-                    if max(len(x.coeffs), len(y.coeffs), len(z.coeffs)) < 2:
-                        continue
-                    if x * x + y * y + z * z == ctx.A * x * y * z:
-                        brute.add((x.coeffs, y.coeffs, z.coeffs))
-        quad = {
-            (P.x.coeffs, P.y.coeffs, P.z.coeffs)
-            for P in enumerate_solutions(ctx, 1, "ordered")
+        for a_expr in ("1", "t", "t^2"):
+            ctx = context(P5, a_expr)
+            brute = set()
+            for x in polys:
+                for y in polys:
+                    for z in polys:
+                        if max(len(x.coeffs), len(y.coeffs), len(z.coeffs)) < 2:
+                            continue
+                        if x * x + y * y + z * z == ctx.A * x * y * z:
+                            brute.add((x.coeffs, y.coeffs, z.coeffs))
+            assert brute
+            sorted_brute = {s for s in brute if len(s[0]) <= len(s[1]) <= len(s[2])}
+            for convention, expected in (("ordered", brute), ("degree_sorted", sorted_brute)):
+                quad = {
+                    (P.x.coeffs, P.y.coeffs, P.z.coeffs)
+                    for P in enumerate_solutions(ctx, 1, convention)
+                }
+                assert quad == expected
+
+    def test_ordered_is_permuted_degree_sorted(self):
+        ctx = context(P5, "t")
+        ordered = enumerate_solutions(ctx, 2, "ordered")
+        sorted_conv = enumerate_solutions(ctx, 2, "degree_sorted")
+        permuted = {
+            MarkoffTriple(*coords)
+            for P in sorted_conv
+            for coords in permutations(P.coords)
         }
-        assert quad == brute
+        assert len(ordered) == len(set(ordered)) == len(permuted)
+        assert set(ordered) == permuted
 
     def test_empty_for_three_mod_four(self):
         ctx = context(P7, "t")
@@ -67,8 +85,36 @@ class TestEnumerate:
 
     def test_budget(self):
         ctx = context(P5, "t")
-        with pytest.raises(BudgetExceeded):
-            enumerate_solutions(ctx, 3, "ordered", budget=10**5)
+        with pytest.raises(BudgetExceeded, match="1521 candidate pairs"):
+            enumerate_solutions(ctx, 3, "ordered", budget=10**3)
+        assert len(enumerate_solutions(ctx, 3, "degree_sorted", budget=1521)) == 1304
+        with pytest.raises(BudgetExceeded, match="1521 candidate pairs"):
+            enumerate_solutions(ctx, 3, "degree_sorted", budget=1520)
+
+    def test_budget_refuses_huge_height_at_once(self):
+        with pytest.raises(BudgetExceeded, match=r"more than 5\^100001 candidate pairs"):
+            enumerate_solutions(context(P5, "t"), 10**5, "degree_sorted")
+
+    @pytest.mark.parametrize(
+        "q, beta, n, pairs",
+        [(5, 1, 3, 1521), (5, 1, 5, 50521), (5, 0, 1, 121), (13, 1, 3, 79249), (5, 3, 2, 125)],
+    )
+    def test_pair_count(self, q, beta, n, pairs):
+        assert pair_count(q, beta, n) == pairs
+
+    @pytest.mark.parametrize("a_expr, n", [("t", 3), ("1", 1), ("t^3", 2)])
+    def test_pair_count_is_the_pairs_solved(self, a_expr, n, monkeypatch):
+        solved = []
+        sqrt_coeffs = oracle._sqrt_coeffs
+
+        def counted(f, p):
+            solved.append(f)
+            return sqrt_coeffs(f, p)
+
+        monkeypatch.setattr(oracle, "_sqrt_coeffs", counted)
+        ctx = context(P5, a_expr)
+        enumerate_solutions(ctx, n, "ordered")
+        assert len(solved) == pair_count(5, ctx.beta, n)
 
     def test_deterministic_order(self):
         ctx = context(P5, "t")
