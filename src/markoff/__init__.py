@@ -17,7 +17,7 @@ from .counting import (
 )
 from .errors import MarkoffError
 from .euclid import EuclidTriple, TreeId, euclid_branch, gamma_reduce, layer, map_unit, membership
-from .field import FieldElement, PrimeModulus, sqrt_minus_one, sqrt_mod_p
+from .field import PrimeModulus, sqrt_minus_one
 from .oracle import (
     CensusReport,
     census,
@@ -48,7 +48,6 @@ __all__ = [
     "CountTerm",
     "DoubleNeg",
     "EuclidTriple",
-    "FieldElement",
     "MarkoffContext",
     "MarkoffError",
     "MarkoffTriple",
@@ -84,6 +83,5 @@ __all__ = [
     "render_poly",
     "sort_triple",
     "sqrt_minus_one",
-    "sqrt_mod_p",
     "write_solutions_jsonl",
 ]

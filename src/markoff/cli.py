@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(prime_flag, type=int, required=True, help="odd prime modulus")
         p.add_argument("--A", required=True, help="parameter A as a polynomial expression")
         p.add_argument("--budget", type=int, help="work budget (MARKOFF_BUDGET overrides)")
-        p.add_argument("--seed", type=int, help="seed for randomized commands (reserved)")
 
     p_verify = sub.add_parser("verify", help="check a triple against the surface equation")
     common(p_verify)
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --brute: also write the enumerated solutions as JSON-lines",
     )
     p_sol.add_argument("--budget", type=int, help="pair budget (MARKOFF_BUDGET overrides)")
-    p_sol.add_argument("--seed", type=int, help="seed for randomized commands (reserved)")
     p_sol.set_defaults(func=cmd_count_solutions)
 
     return parser

@@ -128,7 +128,8 @@ def cumulative_signatures(H: int, beta: int = 0) -> CumulativeReport:
         raise NonConstantA("cumulative sandwich bounds require constant A")
     if H < 1:
         raise ValueError("H must be positive")
-    total = sum(n // 2 + 2 for n in range(1, H + 1))
+    # sum of n//2 + 2 over n = 1..H, where the n//2 sum to floor(H/2)*ceil(H/2)
+    total = 2 * H + (H // 2) * ((H + 1) // 2)
     return CumulativeReport(
         total=total,
         lower=Fraction(H * H + 5 * H, 4),

@@ -45,6 +45,9 @@ def euclid_branch(triple: EuclidTriple, beta: int, branch: int) -> EuclidTriple:
 
 
 def root(tree: TreeId) -> EuclidTriple:
+    """Root (alpha, alpha, 2*alpha + beta); needs alpha >= 1 and beta >= 0."""
+    if tree.alpha < 1 or tree.beta < 0:
+        raise ValueError(f"tree needs alpha >= 1 and beta >= 0, got {tuple(tree)}")
     return EuclidTriple(tree.alpha, tree.alpha, 2 * tree.alpha + tree.beta)
 
 

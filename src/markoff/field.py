@@ -1,16 +1,15 @@
-"""Arithmetic in the prime field F_p for odd p.
+"""The prime field F_p for odd p: the checked modulus and square roots.
 
-Elements are canonical integers in [0, p).  Square roots use Tonelli-Shanks
-and always return the smaller of the two integer representatives, so outputs
-are deterministic (e.g. sqrt(-1) = 5 for p = 13, never 8).
+Field values are plain canonical integers in [0, p); F_p[t] arithmetic on
+them lives in `poly`.  Square roots use Tonelli-Shanks and always return the
+smaller of the two integer representatives, so outputs are deterministic
+(e.g. sqrt(-1) = 5 for p = 13, never 8).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-from .errors import ModulusMismatch
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10^24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,105 +57,13 @@ class PrimeModulus:
         if self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError(f"modulus must be an odd prime, got {self.p}")
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
     def __repr__(self):
         return f"PrimeModulus({self.p})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Residue class in F_p, stored as the canonical integer in [0, p)."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.p:
-            object.__setattr__(self, "value", self.value % self.modulus.p)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"cannot combine elements mod {self.modulus.p} and mod {other.modulus.p}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other % self.modulus.p, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value + other.value) % self.modulus.p, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value - other.value) % self.modulus.p, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value % self.modulus.p, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.modulus.p, self.modulus)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.modulus.p), self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return FieldElement(pow(self.value, self.modulus.p - 2, self.modulus.p), self.modulus)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.modulus.p})"
-
-
-def sqrt_mod_p(a: FieldElement) -> FieldElement | None:
-    """Canonical square root of a, or None if a is a non-residue.
-
-    Of the two roots r and p-r, the smaller integer is returned.
-    """
-    r = _sqrt_int(a.value, a.modulus.p)
-    if r is None:
-        return None
-    return FieldElement(r, a.modulus)
-
-
 def _sqrt_int(a: int, p: int) -> int | None:
-    """Tonelli-Shanks on plain ints; returns min(r, p - r) or None."""
+    """Canonical square root of a mod p by Tonelli-Shanks: min(r, p - r),
+    or None when a is a non-residue."""
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
@@ -185,8 +92,8 @@ def _sqrt_int(a: int, p: int) -> int | None:
 
 
 @functools.lru_cache(maxsize=None)
-def sqrt_minus_one(modulus: PrimeModulus) -> FieldElement | None:
+def sqrt_minus_one(modulus: PrimeModulus) -> int | None:
     """Canonical i with i*i = -1, or None when p = 3 (mod 4)."""
     if modulus.p % 4 != 1:
         return None
-    return sqrt_mod_p(FieldElement(modulus.p - 1, modulus))
+    return _sqrt_int(modulus.p - 1, modulus.p)

@@ -27,7 +27,7 @@ from itertools import permutations, product
 from .counting import CountReport, count_finite_field
 from .errors import AllConstant, BudgetExceeded
 from .euclid import TreeId, euclid_branch, root
-from .poly import Polynomial, _sqrt_coeffs
+from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
 from .triples import MarkoffContext, MarkoffTriple, is_fundamental, sort_triple
 
 DEFAULT_PAIR_BUDGET = 10**9
@@ -38,51 +38,6 @@ CONVENTIONS = ("ordered", "degree_sorted")
 def _check_convention(convention: str):
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-
-
-# ----------------------------------------------------------------------
-# raw coefficient-tuple helpers for the hot loop
-
-
-def _mul(a, b, p):
-    if not a or not b:
-        return ()
-    c = [0] * (len(a) + len(b) - 1)
-    for k, ak in enumerate(a):
-        if ak:
-            for j, bj in enumerate(b):
-                c[k + j] += ak * bj
-    return tuple(v % p for v in c)
-
-
-def _add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    c = list(a)
-    for k, bk in enumerate(b):
-        c[k] = (c[k] + bk) % p
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _sub(a, b, p):
-    n = max(len(a), len(b))
-    c = [0] * n
-    for k in range(n):
-        ak = a[k] if k < len(a) else 0
-        bk = b[k] if k < len(b) else 0
-        c[k] = (ak - bk) % p
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _smul(a, s, p):
-    s %= p
-    if s == 0:
-        return ()
-    return tuple(v * s % p for v in a)
 
 
 def pair_count(q: int, beta: int, max_height: int) -> int:

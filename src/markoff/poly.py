@@ -2,21 +2,68 @@
 
 Coefficients are stored as a tuple of canonical integers in ascending power
 order with no trailing zeros; the zero polynomial has an empty tuple and
-degree NEG_INF.  A small expression parser and a deterministic renderer
-(plain residues, or minimal-magnitude forms using i = sqrt(-1)) round-trip
-polynomials through text.
+degree NEG_INF.  The ring operations are the tuple kernels `_mul`, `_add`,
+`_sub` and `_smul`, the one copy of F_p[t] arithmetic: `Polynomial` wraps
+them and the solution enumerator calls them directly.  A small expression
+parser and a deterministic renderer (plain residues, or minimal-magnitude
+forms using i = sqrt(-1)) round-trip polynomials through text.
 """
 
 from __future__ import annotations
 
 from .errors import IUnavailable, ModulusMismatch, ParseError
-from .field import FieldElement, PrimeModulus, _sqrt_int, sqrt_minus_one
+from .field import PrimeModulus, _sqrt_int, sqrt_minus_one
 
 # Degree of the zero polynomial.  Orders below every integer and absorbs
 # under addition, exactly what signature comparisons need.
 NEG_INF = float("-inf")
 
 ExtDegree = int | float
+
+
+# ----------------------------------------------------------------------
+# kernels on coefficient tuples (canonical residues, no trailing zeros)
+
+
+def _mul(a, b, p):
+    if not a or not b:
+        return ()
+    c = [0] * (len(a) + len(b) - 1)
+    for k, ak in enumerate(a):
+        if ak:
+            for j, bj in enumerate(b):
+                c[k + j] += ak * bj
+    return tuple(v % p for v in c)
+
+
+def _add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for k, bk in enumerate(b):
+        c[k] = (c[k] + bk) % p
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _sub(a, b, p):
+    n = max(len(a), len(b))
+    c = [0] * n
+    for k in range(n):
+        ak = a[k] if k < len(a) else 0
+        bk = b[k] if k < len(b) else 0
+        c[k] = (ak - bk) % p
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _smul(a, s, p):
+    s %= p
+    if s == 0:
+        return ()
+    return tuple(v * s % p for v in a)
 
 
 class Polynomial:
@@ -59,13 +106,6 @@ class Polynomial:
     def t(cls, modulus: PrimeModulus) -> "Polynomial":
         return cls._make(modulus, (0, 1))
 
-    @classmethod
-    def monomial(cls, modulus: PrimeModulus, degree: int, coeff: int = 1) -> "Polynomial":
-        c = coeff % modulus.p
-        if c == 0:
-            return cls.zero(modulus)
-        return cls._make(modulus, (0,) * degree + (c,))
-
     # ------------------------------------------------------------------
     # structure
 
@@ -80,13 +120,10 @@ class Polynomial:
         return len(self.coeffs) <= 1
 
     @property
-    def leading_coeff(self) -> FieldElement:
+    def leading_coeff(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.coeffs[-1], self.modulus)
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return self.coeffs[-1]
 
     def _check(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -102,64 +139,25 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._check(other)
-        p = self.modulus.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        c = list(a)
-        for k, bk in enumerate(b):
-            c[k] = (c[k] + bk) % p
-        while c and c[-1] == 0:
-            c.pop()
-        return Polynomial._make(self.modulus, tuple(c))
+        return Polynomial._make(self.modulus, _add(self.coeffs, other.coeffs, self.modulus.p))
 
     def __sub__(self, other):
         other = self._check(other)
-        p = self.modulus.p
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        c = [0] * n
-        for k in range(n):
-            ak = a[k] if k < len(a) else 0
-            bk = b[k] if k < len(b) else 0
-            c[k] = (ak - bk) % p
-        while c and c[-1] == 0:
-            c.pop()
-        return Polynomial._make(self.modulus, tuple(c))
+        return Polynomial._make(self.modulus, _sub(self.coeffs, other.coeffs, self.modulus.p))
 
     def __neg__(self):
-        p = self.modulus.p
-        return Polynomial._make(self.modulus, tuple(p - a if a else 0 for a in self.coeffs))
+        return Polynomial._make(self.modulus, _smul(self.coeffs, -1, self.modulus.p))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scalar_mul(other)
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch("scalar from a different field")
-            return self.scalar_mul(other.value)
         other = self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial.zero(self.modulus)
-        p = self.modulus.p
-        c = [0] * (len(a) + len(b) - 1)
-        for k, ak in enumerate(a):
-            if ak:
-                for j, bj in enumerate(b):
-                    c[k + j] += ak * bj
-        return Polynomial._make(self.modulus, tuple(v % p for v in c))
+        return Polynomial._make(self.modulus, _mul(self.coeffs, other.coeffs, self.modulus.p))
 
     __rmul__ = __mul__
 
     def scalar_mul(self, scalar: int) -> "Polynomial":
-        p = self.modulus.p
-        s = scalar % p
-        if s == 0:
-            return Polynomial.zero(self.modulus)
-        if s == 1:
-            return self
-        return Polynomial._make(self.modulus, tuple(a * s % p for a in self.coeffs))
+        return Polynomial._make(self.modulus, _smul(self.coeffs, scalar, self.modulus.p))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -267,14 +265,10 @@ def _sqrt_coeffs(f, p):
             acc += g[a] * g[b] * (2 if a != b else 1)
         g[k] = (f[m + k] - acc) * inv2lead % p
     # verify the lower half, i.e. that g*g really equals f
-    sq = [0] * (deg + 1)
-    for a, ga in enumerate(g):
-        if ga:
-            for b, gb in enumerate(g):
-                sq[a + b] += ga * gb
-    if any(v % p != fk for v, fk in zip(sq, f)):
+    g = tuple(g)
+    if _mul(g, g, p) != f:
         return None
-    return tuple(g)
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +360,7 @@ class _Parser:
                 raise IUnavailable(
                     f"'i' at position {at}: -1 has no square root mod {self.modulus.p}"
                 )
-            return Polynomial.constant(self.modulus, i.value)
+            return Polynomial.constant(self.modulus, i)
         if ch.isdigit():
             return Polynomial.constant(self.modulus, self.integer("integer"))
         raise ParseError("expected integer, 't', 'i' or '('", self.pos)
@@ -403,7 +397,7 @@ def render_poly(f: Polynomial, style: str = "plain") -> str:
         i = sqrt_minus_one(f.modulus)
         if i is None:
             raise IUnavailable(f"with_i rendering needs p = 1 (mod 4), got p = {p}")
-        inv_i = pow(i.value, p - 2, p)
+        inv_i = pow(i, p - 2, p)
     parts = []
     for k in range(len(f.coeffs) - 1, -1, -1):
         c = f.coeffs[k]

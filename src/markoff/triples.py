@@ -199,7 +199,7 @@ class MarkoffContext:
         root = sqrt_minus_one(self.p)
         if root is None:
             raise IUnavailable(f"-1 has no square root mod {self.p.p}")
-        return Polynomial.constant(self.p, root.value)
+        return Polynomial.constant(self.p, root)
 
     # ------------------------------------------------------------------
 
@@ -252,6 +252,11 @@ class MarkoffContext:
     # ------------------------------------------------------------------
     # descent
 
+    def _rho_step(self, triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
+        """Apply rho and re-sort; return the new triple with the word applied."""
+        sorted_triple, sort_word = sort_triple(self.apply_generator(triple, RHO))
+        return sorted_triple, (RHO,) + sort_word
+
     def predecessor(self, triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
         """One descent step on a sorted non-fundamental solution: apply rho,
         re-sort, and return the new triple with the word applied."""
@@ -260,9 +265,7 @@ class MarkoffContext:
         self.require_solution(triple)
         if is_fundamental(triple):
             raise IsFundamental("fundamental triples have no predecessor")
-        stepped = self.apply_generator(triple, RHO)
-        sorted_triple, sort_word = sort_triple(stepped)
-        return sorted_triple, (RHO,) + sort_word
+        return self._rho_step(triple)
 
     def descend(self, triple: MarkoffTriple) -> "DescentResult":
         """Reduce a positive-height solution to a sorted fundamental triple.
@@ -280,14 +283,12 @@ class MarkoffContext:
         if triple.height() <= 0:
             raise AllConstant("descent needs a triple of positive height")
         # solutions are closed under the moves, so validate once at entry
-        # and step with rho + sort directly
+        # and skip predecessor's per-step checks
         current, word = sort_triple(triple)
         parts = list(word)
         while not is_fundamental(current):
-            stepped = self.apply_generator(current, RHO)
-            current, sort_word = sort_triple(stepped)
-            parts.append(RHO)
-            parts.extend(sort_word)
+            current, step = self._rho_step(current)
+            parts.extend(step)
         return DescentResult(fundamental=current, word=tuple(parts))
 
     # ------------------------------------------------------------------

@@ -130,6 +130,13 @@ class TestEuclid:
         code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "9", "--budget", "8"])
         assert code == 3
 
+    @pytest.mark.parametrize("alpha, beta, depth", [("0", "0", "0"), ("1", "-1", "2")])
+    def test_invalid_tree_exits_two(self, capsys, alpha, beta, depth):
+        code = main(["euclid", "--alpha", alpha, "--beta", beta, "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "alpha >= 1 and beta >= 0" in captured.err
+
 
 class TestCountSignatures:
     def test_cumulative(self, capsys):
@@ -212,3 +219,18 @@ class TestCountSolutions:
         )
         assert code == 0 and obj["total"] > 0
         assert len(calls) == 1
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "13", "--A", "1", "--triple", "(0; 0; 0)"],
+            ["count", "solutions", "--q", "5", "--A", "t", "--n", "1"],
+        ],
+    )
+    def test_seed_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err

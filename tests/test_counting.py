@@ -112,6 +112,14 @@ class TestCumulative:
                 count_C_A(0, n) for n in range(1, H + 1)
             )
 
+    def test_closed_form_matches_loop(self):
+        for H in range(1, 501):
+            assert cumulative_signatures(H).total == sum(n // 2 + 2 for n in range(1, H + 1))
+
+    def test_sandwich_at_huge_height(self):
+        report = cumulative_signatures(10**12)
+        assert report.lower < report.total <= report.upper
+
     def test_nonconstant_rejected(self):
         with pytest.raises(NonConstantA):
             cumulative_signatures(10, beta=1)

@@ -38,6 +38,13 @@ class TestBranching:
         with pytest.raises(ValueError):
             euclid_branch(EuclidTriple(0, 1, 1), 0, 1)
 
+    @pytest.mark.parametrize("tree", [TreeId(0, 0), TreeId(1, -1)])
+    def test_rejects_invalid_tree(self, tree):
+        with pytest.raises(ValueError):
+            root(tree)
+        with pytest.raises(ValueError):
+            layer(tree, 0)
+
 
 class TestLayers:
     def test_unit_layers(self):

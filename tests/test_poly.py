@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import markoff.oracle
+import markoff.poly
 from markoff.errors import IUnavailable, ModulusMismatch, ParseError
 from markoff.field import PrimeModulus
 from markoff.poly import NEG_INF, Polynomial, parse_poly, poly_sqrt, render_poly
@@ -32,7 +34,7 @@ class TestStructure:
         assert poly(P5, 1, 2, 0, 0).coeffs == (1, 2)
 
     def test_leading_coeff(self):
-        assert poly(P5, 1, 3).leading_coeff.value == 3
+        assert poly(P5, 1, 3).leading_coeff == 3
         with pytest.raises(ValueError):
             Polynomial.zero(P5).leading_coeff
 
@@ -94,6 +96,24 @@ class TestArithmetic:
         assert f**0 == poly(P5, 1)
 
 
+class TestKernels:
+    def test_one_copy_shared_with_the_enumerator(self):
+        for name in ("_mul", "_add", "_sub", "_smul"):
+            assert getattr(markoff.oracle, name) is getattr(markoff.poly, name)
+
+    def test_sqrt_checks_its_root_with_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = markoff.poly._mul
+
+        def counting_mul(a, b, p):
+            calls.append((a, b))
+            return kernel(a, b, p)
+
+        monkeypatch.setattr(markoff.poly, "_mul", counting_mul)
+        assert poly_sqrt(poly(P5, 1, 2, 1)) == poly(P5, 1, 1)
+        assert calls == [((1, 1), (1, 1))]
+
+
 class TestPolySqrt:
     def test_perfect_square(self):
         assert poly_sqrt(poly(P5, 1, 2, 1)) == poly(P5, 1, 1)
@@ -126,7 +146,7 @@ class TestPolySqrt:
                 continue
             assert root in (f, -f)
             assert root * root == f * f
-            lead = root.leading_coeff.value
+            lead = root.leading_coeff
             assert lead <= 13 - lead
 
 
