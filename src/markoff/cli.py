@@ -3,7 +3,9 @@
 Subcommands: verify, tree, descend, euclid, count signatures, count
 solutions.  All outputs are JSON unless --format says otherwise.  Exit
 codes: 0 success, 1 failed verification, 2 usage or parse error, 3 budget
-exceeded.  The MARKOFF_BUDGET environment variable overrides --budget.
+exceeded (a power or product in a polynomial expression above the
+parser's degree cap included).
+The MARKOFF_BUDGET environment variable overrides --budget.
 """
 
 from __future__ import annotations
@@ -143,6 +145,8 @@ def cmd_descend(args) -> int:
 
 
 def cmd_euclid(args) -> int:
+    if args.depth < 0:
+        raise ValueError(f"--depth must be non-negative, got {args.depth}")
     tree = euclid_mod.TreeId(args.alpha, args.beta)
     budget = _budget(args, euclid_mod.DEFAULT_LAYER_BUDGET)
     layers = [

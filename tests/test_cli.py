@@ -5,6 +5,7 @@ import pytest
 from helpers import GOLDEN_TREE, P13, triple_of
 from markoff import cli, oracle
 from markoff.cli import main
+from markoff.poly import MAX_PARSE_DEGREE
 from markoff.triples import MarkoffTriple
 
 
@@ -55,6 +56,13 @@ class TestVerify:
     def test_zero_A_exits_two(self, capsys):
         code = main(["verify", "--p", "13", "--A", "0", "--triple", "(1; 1; 1)"])
         assert code == 2
+
+    @pytest.mark.parametrize("power", ["t^300000000", "(t+1)^300000000"])
+    def test_oversized_parse_exits_three(self, capsys, power):
+        code = main(["verify", "--p", "13", "--A", "1", "--triple", f"({power}; t; t)"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "degree 300000000" in captured.err and f"cap {MAX_PARSE_DEGREE}" in captured.err
 
 
 class TestTree:
@@ -129,6 +137,12 @@ class TestEuclid:
     def test_budget_exits_three(self, capsys):
         code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "9", "--budget", "8"])
         assert code == 3
+
+    def test_negative_depth_exits_two(self, capsys):
+        code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--depth must be non-negative" in captured.err
 
     @pytest.mark.parametrize("alpha, beta, depth", [("0", "0", "0"), ("1", "-1", "2")])
     def test_invalid_tree_exits_two(self, capsys, alpha, beta, depth):

@@ -1,12 +1,25 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markoff.oracle
 import markoff.poly
-from markoff.errors import IUnavailable, ModulusMismatch, ParseError
+from markoff.errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
 from markoff.field import PrimeModulus
-from markoff.poly import NEG_INF, Polynomial, parse_poly, poly_sqrt, render_poly
+from markoff.poly import (
+    MAX_PARSE_DEGREE,
+    NEG_INF,
+    Polynomial,
+    _add,
+    _mul,
+    _sub,
+    parse_poly,
+    poly_sqrt,
+    render_poly,
+)
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -15,6 +28,13 @@ P13 = PrimeModulus(13)
 
 def poly(mod, *coeffs):
     return Polynomial(mod, coeffs)
+
+
+# Kronecker slots: 1 and 2 bytes at p = 3, 2 and 4 bytes at p = 13, 8 bytes at
+# p = 65537; at the three large primes a slot would need more than 8 bytes,
+# so `_mul` keeps to the schoolbook loop.  The last is the largest prime
+# below 2^63.
+KERNEL_PRIMES = (3, 13, 65537, 2**31 - 1, 2**61 - 1, 2**63 - 25)
 
 
 def random_poly(rng, mod, max_deg):
@@ -114,6 +134,83 @@ class TestKernels:
         assert calls == [((1, 1), (1, 1))]
 
 
+def schoolbook_mul(a, b, p):
+    c = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return stripped(v % p for v in c)
+
+
+def stripped(coeffs):
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+@st.composite
+def kernel_operands(draw, max_len=40):
+    """A prime and two canonical coefficient tuples (no trailing zeros)."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+
+    def coeffs():
+        n = draw(st.integers(0, max_len))
+        if n == 0:
+            return ()
+        body = draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
+        return tuple(body) + (draw(st.integers(1, p - 1)),)
+
+    return p, coeffs(), coeffs()
+
+
+class TestKernelEquivalence:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(kernel_operands())
+    def test_mul_matches_schoolbook(self, operands):
+        p, a, b = operands
+        assert _mul(a, b, p) == schoolbook_mul(a, b, p)
+        assert _mul(a, a, p) == schoolbook_mul(a, a, p)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.sampled_from(KERNEL_PRIMES), st.randoms(use_true_random=False))
+    def test_mul_matches_schoolbook_at_length_300(self, p, rng):
+        a = tuple(rng.randrange(p) for _ in range(299)) + (rng.randrange(1, p),)
+        n = rng.choice((1, 2, 3, 37, 300))
+        b = tuple(rng.randrange(p) for _ in range(n - 1)) + (rng.randrange(1, p),)
+        assert _mul(a, b, p) == schoolbook_mul(a, b, p)
+        assert _mul(b, a, p) == schoolbook_mul(a, b, p)
+        assert _mul(a, a, p) == schoolbook_mul(a, a, p)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_no_carry_between_slots(self, p):
+        # all coefficients p - 1 give the largest product coefficients,
+        # (p-1)^2 * n; take n just at and just past each slot size's limit
+        lengths = {1, 2, 4, 5}
+        for bits in (8, 16, 32, 64):
+            n = (2**bits - 1) // (p - 1) ** 2
+            lengths |= {n, n + 1}
+        for n in sorted(n for n in lengths if 1 <= n <= 600):
+            a = (p - 1,) * n
+            assert _mul(a, a, p) == schoolbook_mul(a, a, p), n
+            assert _mul(a, (p - 1,) * (n + 3), p) == schoolbook_mul(a, (p - 1,) * (n + 3), p), n
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(kernel_operands(), st.booleans())
+    def test_add_sub_match_reference(self, operands, cancel):
+        p, a, b = operands
+        if cancel:
+            # b agrees with a from index k up, so their leading terms cancel
+            k = len(a) // 2
+            b = stripped((b + (0,) * k)[:k] + a[k:])
+        width = max(len(a), len(b))
+        pa, pb = a + (0,) * (width - len(a)), b + (0,) * (width - len(b))
+        assert _add(a, b, p) == stripped((u + v) % p for u, v in zip(pa, pb))
+        assert _sub(a, b, p) == stripped((u - v) % p for u, v in zip(pa, pb))
+        assert _sub(a, a, p) == ()
+        assert _add(a, tuple(-v % p for v in a), p) == ()
+
+
 class TestPolySqrt:
     def test_perfect_square(self):
         assert poly_sqrt(poly(P5, 1, 2, 1)) == poly(P5, 1, 1)
@@ -181,6 +278,41 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_poly("t t", P5)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2000), st.sampled_from([P5, P7, P13]))
+    def test_t_power_matches_pow(self, k, mod):
+        assert parse_poly(f"t^{k}", mod) == Polynomial.t(mod) ** k
+
+    def test_t_power_does_not_call_pow(self, monkeypatch):
+        def refuse(self, exponent):
+            raise AssertionError("Polynomial.__pow__ called")
+
+        monkeypatch.setattr(Polynomial, "__pow__", refuse)
+        assert parse_poly("3*t^500 + 2*t", P13).coeffs == (0, 2) + (0,) * 498 + (3,)
+
+    def test_large_power_still_parses(self):
+        f = parse_poly("(t+1)^4000", P13)
+        assert f.coeffs == stripped(math.comb(4000, k) % 13 for k in range(4001))
+
+    @pytest.mark.parametrize(
+        "text,degree",
+        [
+            ("t^300000000", 300000000),
+            ("(t+1)^300000000", 300000000),
+            (f"t^{MAX_PARSE_DEGREE // 2 + 1}*t^{MAX_PARSE_DEGREE // 2}", MAX_PARSE_DEGREE + 1),
+            (f"(t^2+1)^{MAX_PARSE_DEGREE // 2 + 1}", MAX_PARSE_DEGREE + 2),
+        ],
+    )
+    def test_degree_over_the_cap_is_refused(self, text, degree):
+        with pytest.raises(BudgetExceeded) as err:
+            parse_poly(text, P13)
+        assert f"degree {degree}," in str(err.value)
+        assert f"cap {MAX_PARSE_DEGREE}" in str(err.value)
+
+    def test_degree_at_the_cap_parses(self):
+        assert parse_poly(f"t^{MAX_PARSE_DEGREE}", P13).degree == MAX_PARSE_DEGREE
+        assert parse_poly(f"2^{MAX_PARSE_DEGREE + 1}", P13) == poly(P13, pow(2, MAX_PARSE_DEGREE + 1, 13))
 
 
 class TestRenderer:
