@@ -3,16 +3,17 @@
 Subcommands: verify, tree, descend, euclid, count signatures, count
 solutions.  All outputs are JSON unless --format says otherwise.  Exit
 codes: 0 success, 1 failed verification, 2 usage or parse error, 3 budget
-exceeded (a power or product in a polynomial expression above the
-parser's degree cap included).
-The MARKOFF_BUDGET environment variable overrides --budget.
+exceeded.  --budget bounds the tree depth (tree), the layer index (euclid)
+and the candidate pairs of the --brute enumeration (count solutions).
+Fixed caps also end with exit 3: a power or product in a polynomial
+expression above the parser's degree cap, a count with more digits than
+can be printed, and a factorization needing trial divisors above its cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import euclid as euclid_mod
@@ -32,12 +33,8 @@ from .triples import (
 )
 
 
-def _modulus(args) -> PrimeModulus:
-    return PrimeModulus(args.p)
-
-
-def _context(args) -> MarkoffContext:
-    mod = _modulus(args)
+def _context(args, prime: int) -> MarkoffContext:
+    mod = PrimeModulus(prime)
     a = parse_poly(args.A, mod)
     if a.is_zero():
         raise ValueError("--A must be a nonzero polynomial")
@@ -58,15 +55,6 @@ def _style(mod: PrimeModulus) -> str:
     return "with_i" if sqrt_minus_one(mod) is not None else "plain"
 
 
-def _budget(args, default: int) -> int:
-    env = os.environ.get("MARKOFF_BUDGET")
-    if env is not None:
-        return int(env)
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    return default
-
-
 def _signature_json(triple: MarkoffTriple) -> list:
     return [None if d == NEG_INF else d for d in triple.signature()]
 
@@ -80,7 +68,7 @@ def _emit(obj):
 
 
 def cmd_verify(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, args.p)
     triple = _parse_triple(args.triple, ctx.p)
     if not ctx.is_solution(triple):
         _emit({"solution": False})
@@ -101,9 +89,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, args.p)
     root = _parse_triple(args.root, ctx.p)
-    tree = ctx.generate_tree(root, args.depth, _budget(args, DEFAULT_TREE_DEPTH_BUDGET))
+    tree = ctx.generate_tree(root, args.depth, args.budget)
     style = _style(ctx.p)
     if args.format == "json":
         _emit(tree.to_json())
@@ -128,7 +116,7 @@ def _form_json(form) -> dict:
 
 
 def cmd_descend(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, args.p)
     triple = _parse_triple(args.triple, ctx.p)
     result = ctx.descend(triple)
     form = ctx.classify_fundamental(result.fundamental)
@@ -147,10 +135,11 @@ def cmd_descend(args) -> int:
 def cmd_euclid(args) -> int:
     if args.depth < 0:
         raise ValueError(f"--depth must be non-negative, got {args.depth}")
+    if args.depth > args.budget:
+        raise BudgetExceeded("layer", args.depth, args.budget)
     tree = euclid_mod.TreeId(args.alpha, args.beta)
-    budget = _budget(args, euclid_mod.DEFAULT_LAYER_BUDGET)
     layers = [
-        sorted(euclid_mod.layer(tree, j, budget)) for j in range(args.depth + 1)
+        sorted(euclid_mod.layer(tree, j, args.budget)) for j in range(args.depth + 1)
     ]
     if args.format == "text":
         for j, triples in enumerate(layers):
@@ -191,14 +180,9 @@ def cmd_count_signatures(args) -> int:
 
 
 def cmd_count_solutions(args) -> int:
-    mod = PrimeModulus(args.q)
-    a = parse_poly(args.A, mod)
-    if a.is_zero():
-        raise ValueError("--A must be a nonzero polynomial")
-    ctx = MarkoffContext(mod, a)
+    ctx = _context(args, args.q)
     if args.brute:
-        budget = _budget(args, DEFAULT_PAIR_BUDGET)
-        solutions = enumerate_solutions(ctx, args.n, args.convention, budget)
+        solutions = enumerate_solutions(ctx, args.n, args.convention, args.budget)
         report = census(ctx, args.n, args.convention, solutions=solutions)
         if args.solutions_out:
             with open(args.solutions_out, "w", encoding="utf-8") as fp:
@@ -223,10 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prime_flag="--p"):
-        p.add_argument(prime_flag, type=int, required=True, help="odd prime modulus")
+    def common(p):
+        p.add_argument("--p", type=int, required=True, help="odd prime modulus")
         p.add_argument("--A", required=True, help="parameter A as a polynomial expression")
-        p.add_argument("--budget", type=int, help="work budget (MARKOFF_BUDGET overrides)")
 
     p_verify = sub.add_parser("verify", help="check a triple against the surface equation")
     common(p_verify)
@@ -238,6 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--root", required=True, help='root triple as "(x; y; z)"')
     p_tree.add_argument("--depth", type=int, required=True)
     p_tree.add_argument("--format", choices=("json", "dot", "text"), default="json")
+    p_tree.add_argument(
+        "--budget", type=int, default=DEFAULT_TREE_DEPTH_BUDGET, help="largest tree depth"
+    )
     p_tree.set_defaults(func=cmd_tree)
 
     p_descend = sub.add_parser("descend", help="descend a solution to its fundamental triple")
@@ -250,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_euclid.add_argument("--beta", type=int, required=True)
     p_euclid.add_argument("--depth", type=int, required=True)
     p_euclid.add_argument("--format", choices=("json", "text"), default="json")
-    p_euclid.add_argument("--budget", type=int, help="layer budget (MARKOFF_BUDGET overrides)")
+    p_euclid.add_argument(
+        "--budget", type=int, default=euclid_mod.DEFAULT_LAYER_BUDGET, help="largest depth"
+    )
     p_euclid.set_defaults(func=cmd_euclid)
 
     p_count = sub.add_parser("count", help="closed-form and brute-force counts")
@@ -275,7 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--solutions-out", metavar="PATH",
         help="with --brute: also write the enumerated solutions as JSON-lines",
     )
-    p_sol.add_argument("--budget", type=int, help="pair budget (MARKOFF_BUDGET overrides)")
+    p_sol.add_argument(
+        "--budget", type=int, default=DEFAULT_PAIR_BUDGET,
+        help="with --brute: most candidate pairs to solve",
+    )
     p_sol.set_defaults(func=cmd_count_solutions)
 
     return parser

@@ -8,20 +8,32 @@ F_q[t] for non-constant A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConstantANotSupported, NonConstantA
+from .errors import BudgetExceeded, ConstantANotSupported, NonConstantA
 from .field import is_prime
+
+# Trial division stops here while a cofactor remains: n factorizes when it is
+# a product of primes up to this bound and at most one prime below about its
+# square, so every n below 2^32 does.
+MAX_TRIAL_DIVISOR = 1 << 16
+
+# Python's default limit on the digits of an int converted to text: a count
+# with more digits than this cannot be printed.
+MAX_COUNT_DIGITS = 4300
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization (intended for n well below 2**32)."""
+    """Trial-division factorization by divisors up to MAX_TRIAL_DIVISOR."""
     if n < 1:
         raise ValueError("n must be positive")
     factors = {}
     d = 2
     while d * d <= n:
+        if d > MAX_TRIAL_DIVISOR:
+            raise BudgetExceeded("trial divisor", d, MAX_TRIAL_DIVISOR)
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
@@ -157,6 +169,11 @@ def count_finite_field(q: int, beta: int, n: int) -> CountReport:
         raise ValueError(f"q must be an odd prime, got {q}")
     if q % 4 == 3:
         return CountReport(value=0, terms=(), empty_field=True)
+    # the value is below q^(n+3); refuse before building a power too long to
+    # print (a Fraction, as a float of a huge n would overflow)
+    digits = math.floor(Fraction(math.log10(q)) * (n + 3)) + 1
+    if digits > MAX_COUNT_DIGITS:
+        raise BudgetExceeded("count digits", digits, MAX_COUNT_DIGITS)
     terms = tuple(
         CountTerm(d, count_E(d), 4 * (q - 1) * q ** ((n + beta) // d - beta))
         for d in _admissible_divisors(beta, n)

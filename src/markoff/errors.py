@@ -62,4 +62,15 @@ class ConstantANotSupported(MarkoffError):
 
 
 class BudgetExceeded(MarkoffError):
-    """Requested work exceeds the configured budget."""
+    """Requested work exceeds its limit.
+
+    Carries the `quantity` that ran over, the `requested` amount (a number,
+    or text such as "more than 5^100001" where the number itself would be
+    too large to build) and the `limit` it exceeds.
+    """
+
+    def __init__(self, quantity, requested, limit):
+        super().__init__(f"{quantity} {requested} exceeds budget {limit}")
+        self.quantity = quantity
+        self.requested = requested
+        self.limit = limit

@@ -57,7 +57,7 @@ def layer(tree: TreeId, j: int, budget: int = DEFAULT_LAYER_BUDGET) -> set[Eucli
     if j < 0:
         raise ValueError("layer index must be non-negative")
     if j > budget:
-        raise BudgetExceeded(f"layer {j} exceeds budget {budget}")
+        raise BudgetExceeded("layer", j, budget)
     current = {root(tree)}
     for _ in range(j):
         current = {

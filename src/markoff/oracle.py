@@ -79,16 +79,10 @@ def enumerate_solutions(
     beta = ctx.beta
     if max_height >= budget.bit_length():
         # q^(n+1) > 2^n > budget: refuse before building a huge count
-        raise BudgetExceeded(
-            f"more than {q}^{max_height + 1} candidate pairs at q={q}, deg A={beta}, "
-            f"height {max_height} exceed budget {budget}"
-        )
+        raise BudgetExceeded("candidate pairs", f"more than {q}^{max_height + 1}", budget)
     pairs = pair_count(q, beta, max_height)
     if pairs > budget:
-        raise BudgetExceeded(
-            f"{pairs} candidate pairs at q={q}, deg A={beta}, height {max_height} "
-            f"exceed budget {budget}"
-        )
+        raise BudgetExceeded("candidate pairs", pairs, budget)
 
     # every nonzero polynomial of degree <= n beside its square, by degree
     by_degree = [
@@ -295,7 +289,7 @@ def oracle_E_bfs(n: int, budget: int = 10**4) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     if n > budget:
-        raise BudgetExceeded(f"n = {n} exceeds budget {budget}")
+        raise BudgetExceeded("oracle n", n, budget)
     if n == 1:
         return 1  # by convention; the tree has no maximum below 2
     return _bfs_count(TreeId(1, 0), n)
@@ -306,7 +300,7 @@ def oracle_E_coprime(n: int, budget: int = 10**4) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     if n > budget:
-        raise BudgetExceeded(f"n = {n} exceeds budget {budget}")
+        raise BudgetExceeded("oracle n", n, budget)
     if n == 1:
         return 1
     return sum(1 for b in range(1, n // 2 + 1) if math.gcd(b, n) == 1)
@@ -329,7 +323,7 @@ def oracle_C_beta(beta: int, n: int, budget: int = 500) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     if n > budget:
-        raise BudgetExceeded(f"n = {n} exceeds budget {budget}")
+        raise BudgetExceeded("oracle n", n, budget)
     total = 0
     for alpha in range(1, n + 1):
         # a tree contributes only if n = d*alpha + (d-1)*beta for some d >= 2

@@ -378,7 +378,9 @@ class _Parser:
         while self.peek() == "*":
             self.pos += 1
             factor = self.power()
-            self.check_degree(value.degree + factor.degree, start)
+            degree = value.degree + factor.degree
+            if degree > MAX_PARSE_DEGREE:
+                raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
             value = value * factor
         return value
 
@@ -389,19 +391,14 @@ class _Parser:
         while self.peek() == "^":
             self.pos += 1
             k = self.integer("exponent")
-            self.check_degree(k * value.degree, start)
+            degree = k * value.degree
+            if degree > MAX_PARSE_DEGREE:
+                raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
             if value.coeffs == (0, 1):
                 value = Polynomial._make(self.modulus, (0,) * k + (1,))
             else:
                 value = value**k
         return value
-
-    def check_degree(self, degree, start):
-        if degree > MAX_PARSE_DEGREE:
-            raise BudgetExceeded(
-                f"expression at position {start} has degree {degree}, "
-                f"over the parse cap {MAX_PARSE_DEGREE}"
-            )
 
     def atom(self):
         ch = self.peek()

@@ -295,40 +295,19 @@ class MarkoffContext:
     # fundamental triples
 
     def classify_fundamental(self, triple: MarkoffTriple) -> FundamentalForm:
-        """Match a sorted fundamental solution against its closed form."""
+        """Match a sorted fundamental solution against its closed form: the
+        form with f = z whose `make_fundamental` is the triple."""
         self.require_solution(triple)
         if not triple.is_sorted() or triple.height() <= 0 or not is_fundamental(triple):
             raise NotFundamental(f"{triple.render()} is not a sorted fundamental triple")
-        x, y, z = triple.coords
-        i = self.i()
-        if x.is_zero():
-            iz = i * z
-            if y == iz:
-                return ZeroForm(f=z, sign=1)
-            if y == -iz:
-                return ZeroForm(f=z, sign=-1)
-            raise UnclassifiableInput(f"{triple.render()}: y is not +-i*z")
-        if self.beta != 0 or not x.is_constant():
-            raise UnclassifiableInput(f"{triple.render()}: nonzero x with non-constant A")
-        a_elem = self.A * x * Polynomial.constant(self.p, pow(2, self.p.p - 2, self.p.p))
-        one = Polynomial.constant(self.p, 1)
-        if a_elem == one:
-            a = 1
-        elif a_elem == -one:
-            a = -1
-        else:
-            raise UnclassifiableInput(f"{triple.render()}: x is not +-2/A")
-        # remainder of y divided by z, and the identities it must satisfy
-        b = y - z.scalar_mul(a)
-        if a_elem * a_elem + one != self.A * a_elem * x:
-            raise UnclassifiableInput(f"{triple.render()}: a^2 + 1 != A*a*x")
-        if b == i * x:
-            sign = 1
-        elif b == -(i * x):
-            sign = -1
-        else:
-            raise UnclassifiableInput(f"{triple.render()}: remainder is not +-i*x")
-        return ConstantForm(f=z, a=a, sign=sign)
+        f = triple.z
+        forms = [ZeroForm(f, sign) for sign in (1, -1)]
+        if self.beta == 0 and triple.x.is_constant():
+            forms += [ConstantForm(f, a, sign) for a in (1, -1) for sign in (1, -1)]
+        for form in forms:
+            if self.make_fundamental(form) == triple:
+                return form
+        raise UnclassifiableInput(f"{triple.render()} matches no fundamental form")
 
     def make_fundamental(self, form: FundamentalForm) -> MarkoffTriple:
         """Build the sorted fundamental triple described by a form."""
@@ -385,7 +364,7 @@ class MarkoffContext:
         if depth < 0:
             raise ValueError("depth must be non-negative")
         if depth > budget:
-            raise BudgetExceeded(f"tree depth {depth} exceeds budget {budget}")
+            raise BudgetExceeded("tree depth", depth, budget)
         sorted_root, _ = sort_triple(root)
         return self._grow(sorted_root, None, depth)
 

@@ -18,6 +18,12 @@ def context(mod: PrimeModulus, a_expr: str) -> MarkoffContext:
     return MarkoffContext(mod, parse_poly(a_expr, mod))
 
 
+def budget_fields(excinfo) -> tuple:
+    """(quantity, requested, limit) of a caught BudgetExceeded."""
+    err = excinfo.value
+    return err.quantity, err.requested, err.limit
+
+
 def random_nonconstant(rng, mod, max_deg):
     deg = rng.randint(1, max_deg)
     coeffs = [rng.randrange(mod.p) for _ in range(deg)] + [rng.randrange(1, mod.p)]

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
 from helpers import GOLDEN_TREE, P13, triple_of
-from markoff import cli, oracle
+from markoff import cli, euclid, oracle
 from markoff.cli import main
+from markoff.counting import MAX_COUNT_DIGITS, MAX_TRIAL_DIVISOR
 from markoff.poly import MAX_PARSE_DEGREE
 from markoff.triples import MarkoffTriple
 
@@ -62,7 +64,9 @@ class TestVerify:
         code = main(["verify", "--p", "13", "--A", "1", "--triple", f"({power}; t; t)"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert "degree 300000000" in captured.err and f"cap {MAX_PARSE_DEGREE}" in captured.err
+        assert captured.err == (
+            f"error: term degree (position 0) 300000000 exceeds budget {MAX_PARSE_DEGREE}\n"
+        )
 
 
 class TestTree:
@@ -93,12 +97,17 @@ class TestTree:
 
     def test_budget_exits_three(self, capsys):
         code = main([*self.ROOT_ARGS, "--depth", "3", "--budget", "2"])
-        assert code == 3
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: tree depth 3 exceeds budget 2\n"
 
-    def test_env_budget_overrides_flag(self, capsys, monkeypatch):
+    def test_env_does_not_change_the_budget(self, capsys, monkeypatch):
+        argv = (*self.ROOT_ARGS, "--depth", "2", "--budget", "10")
+        expected = run(capsys, *argv)
         monkeypatch.setenv("MARKOFF_BUDGET", "1")
-        code = main([*self.ROOT_ARGS, "--depth", "2", "--budget", "10"])
-        assert code == 3
+        assert run(capsys, *argv) == expected and expected[0] == 0
+        monkeypatch.setenv("MARKOFF_BUDGET", "100")
+        assert main([*self.ROOT_ARGS, "--depth", "3", "--budget", "2"]) == 3
 
 
 class TestDescend:
@@ -136,7 +145,17 @@ class TestEuclid:
 
     def test_budget_exits_three(self, capsys):
         code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "9", "--budget", "8"])
-        assert code == 3
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: layer 9 exceeds budget 8\n"
+
+    def test_default_budget_refuses_before_any_layer(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(euclid, "layer", lambda *args: built.append(args))
+        code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "25"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and built == []
+        assert captured.err == f"error: layer 25 exceeds budget {euclid.DEFAULT_LAYER_BUDGET}\n"
 
     def test_negative_depth_exits_two(self, capsys):
         code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "-1"])
@@ -173,6 +192,19 @@ class TestCountSignatures:
         code = main(["count", "signatures", "--beta", "1", "--H", "4"])
         assert code == 2
 
+    def test_large_prime_n_exits_three(self, capsys):
+        code = main(["count", "signatures", "--beta", "0", "--n", str(2**61 - 1)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            f"error: trial divisor {MAX_TRIAL_DIVISOR + 1} exceeds budget {MAX_TRIAL_DIVISOR}\n"
+        )
+
+    def test_smooth_large_n_prints(self, capsys):
+        code, obj = run_json(capsys, "count", "signatures", "--beta", "0", "--n", str(10**13))
+        # for beta = 0 every divisor is admissible, and E summed over them is n//2 + 1
+        assert code == 0 and obj["C_beta"] == 10**13 // 2 + 1 and obj["C_A"] == 10**13 // 2 + 2
+
 
 class TestCountSolutions:
     def test_formula(self, capsys):
@@ -198,7 +230,33 @@ class TestCountSolutions:
     def test_budget_exits_three(self, capsys):
         code = main(["count", "solutions", "--q", "5", "--A", "t", "--n", "3",
                      "--brute", "--budget", "1000"])
-        assert code == 3
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: candidate pairs 1521 exceeds budget 1000\n"
+
+    @pytest.mark.parametrize("n, digits", [(10**4, 6992), (10**11, 69897000436)])
+    def test_unprintable_count_exits_three(self, capsys, n, digits):
+        code = main(["count", "solutions", "--q", "5", "--A", "t", "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: count digits {digits} exceeds budget {MAX_COUNT_DIGITS}\n"
+
+    @pytest.mark.parametrize("q", [5, 29])
+    def test_largest_admitted_count_prints(self, capsys, q):
+        def argv(n):
+            return ["count", "solutions", "--q", str(q), "--A", "t", "--n", str(n)]
+
+        # q^n has about n*log10(q) digits; the cap admits a few heights less
+        top = int(MAX_COUNT_DIGITS / math.log10(q))
+        n = top
+        while main(argv(n)) == 3:
+            n -= 1
+        assert n >= top - 4
+        capsys.readouterr()
+        code, obj = run_json(capsys, *argv(n))
+        assert code == 0 and len(str(obj["value"])) <= MAX_COUNT_DIGITS
+        code, out = run(capsys, *argv(n + 1))
+        assert code == 3 and out == ""
 
     def test_empty_field_formula(self, capsys):
         code, obj = run_json(capsys, "count", "solutions", "--q", "7", "--A", "t", "--n", "2")
@@ -248,3 +306,16 @@ class TestOptions:
             main(argv + ["--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "13", "--A", "1", "--triple", "(0; 0; 0)"],
+            ["descend", "--p", "13", "--A", "1", "--triple", "(2; t; t+2*i)"],
+        ],
+    )
+    def test_budget_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "1"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err

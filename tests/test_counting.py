@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import budget_fields
 from markoff.counting import (
+    MAX_COUNT_DIGITS,
+    MAX_TRIAL_DIVISOR,
     count_C0,
     count_C_A,
     count_C_beta,
@@ -13,7 +16,7 @@ from markoff.counting import (
     factorize,
     mobius,
 )
-from markoff.errors import ConstantANotSupported, NonConstantA
+from markoff.errors import BudgetExceeded, ConstantANotSupported, NonConstantA
 from markoff.oracle import oracle_E_coprime
 
 
@@ -32,6 +35,20 @@ class TestArithmeticFunctions:
     def test_factorize(self):
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
         assert factorize(1) == {}
+        assert factorize(10**13) == {2: 13, 5: 13}
+
+    def test_factorize_stops_at_the_trial_divisor_cap(self):
+        # the primes on either side of (MAX_TRIAL_DIVISOR + 1)^2
+        below, above = 4295098349, 4295098403
+        assert below < (MAX_TRIAL_DIVISOR + 1) ** 2 < above
+        assert factorize(below) == {below: 1}
+        assert factorize(2**5 * below) == {2: 5, below: 1}
+        for n in (above, 2**61 - 1):
+            with pytest.raises(BudgetExceeded) as err:
+                factorize(n)
+            assert budget_fields(err) == (
+                "trial divisor", MAX_TRIAL_DIVISOR + 1, MAX_TRIAL_DIVISOR
+            )
 
 
 class TestCountE:
@@ -149,6 +166,16 @@ class TestFiniteField:
     def test_constant_a_unsupported(self):
         with pytest.raises(ConstantANotSupported):
             count_finite_field(5, 0, 1)
+
+    def test_digit_cap(self):
+        # 5^10003 has 6992 digits, over the 4300 Python prints
+        with pytest.raises(BudgetExceeded) as err:
+            count_finite_field(5, 1, 10**4)
+        assert budget_fields(err) == ("count digits", 6992, MAX_COUNT_DIGITS)
+        with pytest.raises(BudgetExceeded) as err:
+            count_finite_field(5, 1, 10**400)
+        assert err.value.requested > 10**399 and err.value.limit == MAX_COUNT_DIGITS
+        assert count_finite_field(7, 1, 10**11).empty_field
 
     def test_bad_q(self):
         with pytest.raises(ValueError):

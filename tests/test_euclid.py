@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from helpers import budget_fields
 from markoff.errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 from markoff.euclid import (
     EuclidTriple,
@@ -62,8 +63,9 @@ class TestLayers:
             assert len(layer(tree, j)) == 2 ** (j - 1)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             layer(TreeId(1, 0), 25, budget=24)
+        assert budget_fields(err) == ("layer", 25, 24)
 
 
 class TestMapUnit:

@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import P5, P7, P13, context
+from helpers import P5, P7, P13, budget_fields, context
 from markoff import oracle
 from markoff.errors import AllConstant, BudgetExceeded
 from markoff.oracle import (
@@ -85,15 +85,19 @@ class TestEnumerate:
 
     def test_budget(self):
         ctx = context(P5, "t")
-        with pytest.raises(BudgetExceeded, match="1521 candidate pairs"):
+        with pytest.raises(BudgetExceeded) as err:
             enumerate_solutions(ctx, 3, "ordered", budget=10**3)
+        assert budget_fields(err) == ("candidate pairs", 1521, 10**3)
         assert len(enumerate_solutions(ctx, 3, "degree_sorted", budget=1521)) == 1304
-        with pytest.raises(BudgetExceeded, match="1521 candidate pairs"):
+        with pytest.raises(BudgetExceeded) as err:
             enumerate_solutions(ctx, 3, "degree_sorted", budget=1520)
+        assert budget_fields(err) == ("candidate pairs", 1521, 1520)
+        assert str(err.value) == "candidate pairs 1521 exceeds budget 1520"
 
     def test_budget_refuses_huge_height_at_once(self):
-        with pytest.raises(BudgetExceeded, match=r"more than 5\^100001 candidate pairs"):
+        with pytest.raises(BudgetExceeded) as err:
             enumerate_solutions(context(P5, "t"), 10**5, "degree_sorted")
+        assert budget_fields(err) == ("candidate pairs", "more than 5^100001", 10**9)
 
     @pytest.mark.parametrize(
         "q, beta, n, pairs",
@@ -207,10 +211,15 @@ class TestTreeOracles:
                 assert oracle_C_beta(beta, n) == count_C_beta(beta, n).value
 
     def test_budgets(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             oracle_E_bfs(10**5)
-        with pytest.raises(BudgetExceeded):
+        assert budget_fields(err) == ("oracle n", 10**5, 10**4)
+        with pytest.raises(BudgetExceeded) as err:
+            oracle_E_coprime(10**4 + 1)
+        assert budget_fields(err) == ("oracle n", 10**4 + 1, 10**4)
+        with pytest.raises(BudgetExceeded) as err:
             oracle_C_beta(1, 501)
+        assert budget_fields(err) == ("oracle n", 501, 500)
 
 
 class TestDescentOnEnumerated:

@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from helpers import GOLDEN_ROOT, GOLDEN_TREE, P5, P7, P13, context, random_nonconstant, triple_of
+from helpers import (
+    GOLDEN_ROOT,
+    GOLDEN_TREE,
+    P5,
+    P7,
+    P13,
+    budget_fields,
+    context,
+    random_nonconstant,
+    triple_of,
+)
 from markoff.errors import (
     AllConstant,
     BudgetExceeded,
@@ -329,8 +339,9 @@ class TestGenerateTree:
         assert all(node.triple.is_sorted() for node in nodes)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 5, budget=4)
+        assert budget_fields(err) == ("tree depth", 5, 4)
 
     def test_non_solution_rejected(self):
         with pytest.raises(NotSolution):
