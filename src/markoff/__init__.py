@@ -13,7 +13,6 @@ from .counting import (
     count_finite_field,
     cumulative_signatures,
     divisors,
-    mobius,
 )
 from .errors import MarkoffError
 from .euclid import EuclidTriple, TreeId, euclid_branch, gamma_reduce, layer, map_unit, membership
@@ -75,7 +74,6 @@ __all__ = [
     "layer",
     "map_unit",
     "membership",
-    "mobius",
     "oracle_C_beta",
     "oracle_E",
     "parse_poly",

@@ -7,7 +7,8 @@ exceeded.  --budget bounds the tree depth (tree), the layer index (euclid)
 and the candidate pairs of the --brute enumeration (count solutions).
 Fixed caps also end with exit 3: a power or product in a polynomial
 expression above the parser's degree cap, a count with more digits than
-can be printed, and a factorization needing trial divisors above its cap.
+can be printed, and a factorization needing trial divisors above its cap
+or with more divisors than the divisor-terms cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import euclid as euclid_mod
-from .counting import count_C_A, count_C_beta, count_finite_field, cumulative_signatures
+from .counting import C_A_from_C_beta, count_C_beta, count_finite_field, cumulative_signatures
 from .errors import BudgetExceeded, MarkoffError, ParseError
 from .field import PrimeModulus, sqrt_minus_one
 from .oracle import DEFAULT_PAIR_BUDGET, census, enumerate_solutions, write_solutions_jsonl
@@ -172,7 +173,7 @@ def cmd_count_signatures(args) -> int:
                 "beta": args.beta,
                 "n": args.n,
                 "C_beta": report.value,
-                "C_A": count_C_A(args.beta, args.n),
+                "C_A": C_A_from_C_beta(args.beta, report.value),
                 "terms": [t.to_json() for t in report.terms],
             }
         )

@@ -1,9 +1,10 @@
 """Closed-form counting of Markoff-triple signatures and solutions.
 
-E(n) counts (1,0)-Euclid-tree triples with maximum n via a Moebius divisor
-sum; C_beta(n) and C_A(n) count signatures of Markoff triples of height n;
-the finite-field count gives the exact number of solutions of height n over
-F_q[t] for non-constant A.
+E(n) = phi(n)/2 counts (1,0)-Euclid-tree triples with maximum n > 2;
+C_beta(n) and C_A(n) count signatures of Markoff triples of height n; the
+finite-field count gives the exact number of solutions of height n over
+F_q[t] for non-constant A.  Each count factorizes n + beta once.  Caps, each
+raising BudgetExceeded: MAX_TRIAL_DIVISOR, MAX_DIVISOR_TERMS, MAX_COUNT_DIGITS.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .field import is_prime
 # a product of primes up to this bound and at most one prime below about its
 # square, so every n below 2^32 does.
 MAX_TRIAL_DIVISOR = 1 << 16
+
+# The most divisors a count walks.  No n below 2^64 is refused: the most
+# divisors such an n has is 103,680 (897612484786617600 is one).
+MAX_DIVISOR_TERMS = 1 << 17
 
 # Python's default limit on the digits of an int converted to text: a count
 # with more digits than this cannot be printed.
@@ -43,25 +48,34 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def mobius(n: int) -> int:
+def _divisor_walk(n: int) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every divisor d of n in ascending order, from one
+    factorization of n; too many divisors are refused before any is built."""
     factors = factorize(n)
-    if any(e > 1 for e in factors.values()):
-        return 0
-    return -1 if len(factors) % 2 else 1
+    count = math.prod(e + 1 for e in factors.values())
+    if count > MAX_DIVISOR_TERMS:
+        raise BudgetExceeded("divisor terms", count, MAX_DIVISOR_TERMS)
+    walk = [(1, 1)]
+    for prime, exp in factors.items():
+        # phi(prime^k) = prime^k - prime^(k-1) for k >= 1
+        powers = [(1, 1)] + [(prime**k, prime**k - prime ** (k - 1)) for k in range(1, exp + 1)]
+        walk = [(d * pk, phi * phi_pk) for d, phi in walk for pk, phi_pk in powers]
+    walk.sort()
+    return walk
+
+
+def _E(d: int, phi: int) -> int:
+    # E(d) counts the b <= d/2 coprime to d: b and d - b pair off for d > 2
+    return 1 if d <= 2 else phi // 2
 
 
 def divisors(n: int) -> list[int]:
-    divs = [1]
-    for prime, exp in factorize(n).items():
-        divs = [d * prime**k for d in divs for k in range(exp + 1)]
-    return sorted(divs)
+    return [d for d, _ in _divisor_walk(n)]
 
 
 def count_E(n: int) -> int:
     """Number of (1,0)-tree triples with maximum n (E(1) = 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return sum(mobius(d) * (n // (2 * d) + 1) for d in divisors(n))
+    return _E(n, math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).items()))
 
 
 def count_C0(n: int) -> int:
@@ -100,9 +114,9 @@ class CountReport:
         return obj
 
 
-def _admissible_divisors(beta: int, n: int) -> list[int]:
-    # d | (n + beta) with beta * d < n + beta
-    return [d for d in divisors(n + beta) if beta * d < n + beta]
+def _admissible_divisors(beta: int, n: int) -> list[tuple[int, int]]:
+    # (d, phi(d)) for d | (n + beta) with beta * d < n + beta
+    return [(d, phi) for d, phi in _divisor_walk(n + beta) if beta * d < n + beta]
 
 
 def count_C_beta(beta: int, n: int) -> CountReport:
@@ -112,15 +126,19 @@ def count_C_beta(beta: int, n: int) -> CountReport:
         raise ValueError("beta must be non-negative")
     if n < 1:
         raise ValueError("n must be positive")
-    terms = tuple(CountTerm(d, count_E(d), 1) for d in _admissible_divisors(beta, n))
+    terms = tuple(CountTerm(d, _E(d, phi), 1) for d, phi in _admissible_divisors(beta, n))
     return CountReport(value=sum(t.contribution for t in terms), terms=terms)
 
 
 def count_C_A(beta: int, n: int) -> int:
     """Signatures of Markoff triples of height exactly n; depends only on
-    beta = deg A.  For constant A the two fundamental shapes add one more."""
-    base = count_C_beta(beta, n).value
-    return base + 1 if beta == 0 else base
+    beta = deg A."""
+    return C_A_from_C_beta(beta, count_C_beta(beta, n).value)
+
+
+def C_A_from_C_beta(beta: int, c_beta: int) -> int:
+    """C_A(n) from C_beta(n): constant A has two fundamental shapes, one more."""
+    return c_beta + 1 if beta == 0 else c_beta
 
 
 @dataclass(frozen=True)
@@ -140,13 +158,17 @@ def cumulative_signatures(H: int, beta: int = 0) -> CumulativeReport:
         raise NonConstantA("cumulative sandwich bounds require constant A")
     if H < 1:
         raise ValueError("H must be positive")
+    upper = Fraction(H * H + 9 * H, 4)
+    # the upper bound's numerator is the longest number printed: the total is
+    # below it, and the lower bound's H*(H+5) is reduced by the same power of 2
+    top = upper.numerator
+    digits = int(math.log10(top)) + 1  # may be one off beside a power of 10
+    digits += (top >= 10**digits) - (top < 10 ** (digits - 1))
+    if digits > MAX_COUNT_DIGITS:
+        raise BudgetExceeded("count digits", digits, MAX_COUNT_DIGITS)
     # sum of n//2 + 2 over n = 1..H, where the n//2 sum to floor(H/2)*ceil(H/2)
     total = 2 * H + (H // 2) * ((H + 1) // 2)
-    return CumulativeReport(
-        total=total,
-        lower=Fraction(H * H + 5 * H, 4),
-        upper=Fraction(H * H + 9 * H, 4),
-    )
+    return CumulativeReport(total=total, lower=Fraction(H * H + 5 * H, 4), upper=upper)
 
 
 def count_finite_field(q: int, beta: int, n: int) -> CountReport:
@@ -175,7 +197,7 @@ def count_finite_field(q: int, beta: int, n: int) -> CountReport:
     if digits > MAX_COUNT_DIGITS:
         raise BudgetExceeded("count digits", digits, MAX_COUNT_DIGITS)
     terms = tuple(
-        CountTerm(d, count_E(d), 4 * (q - 1) * q ** ((n + beta) // d - beta))
-        for d in _admissible_divisors(beta, n)
+        CountTerm(d, _E(d, phi), 4 * (q - 1) * q ** ((n + beta) // d - beta))
+        for d, phi in _admissible_divisors(beta, n)
     )
     return CountReport(value=sum(t.contribution for t in terms), terms=terms)

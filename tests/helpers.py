@@ -1,5 +1,6 @@
 """Shared fixtures-by-convention for the test suite."""
 
+from markoff import counting
 from markoff.field import PrimeModulus
 from markoff.poly import Polynomial, parse_poly
 from markoff.triples import MarkoffContext, MarkoffTriple
@@ -22,6 +23,19 @@ def budget_fields(excinfo) -> tuple:
     """(quantity, requested, limit) of a caught BudgetExceeded."""
     err = excinfo.value
     return err.quantity, err.requested, err.limit
+
+
+def count_factorize_calls(monkeypatch) -> list:
+    """Record the argument of every counting.factorize call from now on."""
+    calls = []
+    factorize = counting.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(counting, "factorize", counted)
+    return calls
 
 
 def random_nonconstant(rng, mod, max_deg):

@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from helpers import GOLDEN_TREE, P13, triple_of
+from helpers import GOLDEN_TREE, P13, count_factorize_calls, triple_of
 from markoff import cli, euclid, oracle
 from markoff.cli import main
-from markoff.counting import MAX_COUNT_DIGITS, MAX_TRIAL_DIVISOR
+from markoff.counting import MAX_COUNT_DIGITS, MAX_DIVISOR_TERMS, MAX_TRIAL_DIVISOR
 from markoff.poly import MAX_PARSE_DEGREE
 from markoff.triples import MarkoffTriple
 
@@ -204,6 +204,43 @@ class TestCountSignatures:
         code, obj = run_json(capsys, "count", "signatures", "--beta", "0", "--n", str(10**13))
         # for beta = 0 every divisor is admissible, and E summed over them is n//2 + 1
         assert code == 0 and obj["C_beta"] == 10**13 // 2 + 1 and obj["C_A"] == 10**13 // 2 + 2
+
+    def test_one_factorization(self, capsys, monkeypatch):
+        calls = count_factorize_calls(monkeypatch)
+        code, obj = run_json(capsys, "count", "signatures", "--beta", "0", "--n", str(2**200))
+        assert code == 0 and obj["C_A"] == 2**199 + 2 and calls == [2**200]
+
+    def test_deep_power_of_two(self, capsys):
+        code, obj = run_json(capsys, "count", "signatures", "--beta", "0", "--n", str(2**1000))
+        assert code == 0 and obj["C_beta"] == 2**999 + 1
+        assert [t["d"] for t in obj["terms"]] == [2**k for k in range(1001)]
+
+    def test_too_many_divisors_exits_three(self, capsys):
+        primes = [p for p in range(2, 174) if all(p % d for d in range(2, p))]
+        assert len(primes) == 40
+        code = main(["count", "signatures", "--beta", "0", "--n", str(math.prod(primes))])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            f"error: divisor terms {2**40} exceeds budget {MAX_DIVISOR_TERMS}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "H, digits",
+        # the second total has 4300 digits, but its upper bound's numerator 4301
+        [(10**2500, 5000), (2 * 10**2150 - 1, 4301)],
+    )
+    def test_unprintable_cumulative_exits_three(self, capsys, H, digits):
+        code = main(["count", "signatures", "--beta", "0", "--H", str(H)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: count digits {digits} exceeds budget {MAX_COUNT_DIGITS}\n"
+
+    def test_largest_printable_cumulative(self, capsys):
+        H = 10**2150
+        code, obj = run_json(capsys, "count", "signatures", "--beta", "0", "--H", str(H))
+        assert code == 0 and obj["total"] == H * H // 4 + 2 * H
+        assert len(str(obj["total"])) == MAX_COUNT_DIGITS
 
 
 class TestCountSolutions:

@@ -1,10 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import budget_fields
+from helpers import budget_fields, count_factorize_calls
+from markoff import counting
 from markoff.counting import (
     MAX_COUNT_DIGITS,
+    MAX_DIVISOR_TERMS,
     MAX_TRIAL_DIVISOR,
     count_C0,
     count_C_A,
@@ -14,19 +19,12 @@ from markoff.counting import (
     cumulative_signatures,
     divisors,
     factorize,
-    mobius,
 )
 from markoff.errors import BudgetExceeded, ConstantANotSupported, NonConstantA
 from markoff.oracle import oracle_E_coprime
 
 
 class TestArithmeticFunctions:
-    def test_mobius(self):
-        assert mobius(1) == 1
-        assert mobius(10) == 1
-        assert mobius(12) == 0
-        assert mobius(30) == -1
-
     def test_divisors(self):
         assert divisors(10) == [1, 2, 5, 10]
         assert divisors(1) == [1]
@@ -49,6 +47,47 @@ class TestArithmeticFunctions:
             assert budget_fields(err) == (
                 "trial divisor", MAX_TRIAL_DIVISOR + 1, MAX_TRIAL_DIVISOR
             )
+
+
+class TestDivisorWalk:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 10**4))
+    def test_divisors_match_brute_force(self, n):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        # Gauss: phi summed over the divisors of n is n
+        assert sum(phi for _, phi in counting._divisor_walk(n)) == n
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 10**4))
+    def test_count_E_matches_coprime_oracle(self, n):
+        assert count_E(n) == oracle_E_coprime(n)
+
+    @pytest.mark.parametrize(
+        "count, args",
+        [
+            (count_C_beta, (0, 2**200)),
+            (count_C_beta, (3, 717)),
+            (count_finite_field, (5, 1, 719)),
+            (count_finite_field, (13, 2, 718)),
+            (count_E, (2**200,)),
+            (count_E, (720,)),
+        ],
+    )
+    def test_one_factorization_per_count(self, monkeypatch, count, args):
+        calls = count_factorize_calls(monkeypatch)
+        count(*args)
+        assert len(calls) == 1
+
+    def test_most_divisors_below_2_64_are_admitted(self):
+        n = 897612484786617600
+        assert len(divisors(n)) == 103680 <= MAX_DIVISOR_TERMS
+
+    def test_divisor_terms_cap(self):
+        n = math.prod(p for p in range(2, 174) if factorize(p) == {p: 1})  # first 40 primes
+        for count in (divisors, lambda n: count_C_beta(0, n)):
+            with pytest.raises(BudgetExceeded) as err:
+                count(n)
+            assert budget_fields(err) == ("divisor terms", 2**40, MAX_DIVISOR_TERMS)
 
 
 class TestCountE:
