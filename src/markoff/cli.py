@@ -9,11 +9,16 @@ Fixed caps also end with exit 3: a power or product in a polynomial
 expression above the parser's degree cap, a count with more digits than
 can be printed, and a factorization needing trial divisors above its cap
 or with more divisors than the divisor-terms cap.
+
+There is one parser per process: `build_parser` builds it on the first
+call of `main` and every later call reuses it.  Nothing mutates it, and
+each parse fills a fresh Namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -201,6 +206,7 @@ def cmd_count_solutions(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markoff",

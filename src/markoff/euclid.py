@@ -104,35 +104,14 @@ def gamma_reduce(triple: EuclidTriple) -> tuple[EuclidTriple, int]:
 def membership(triple: EuclidTriple, beta: int) -> TreeId | None:
     """The (alpha, beta)-tree containing this triple, or None.
 
-    For beta = 0 this is gcd membership; for beta > 0 the shifted triple
-    must be a multiple of a (1,0)-tree triple by alpha + beta.
+    The shifted triple (t_i + beta) must be s times a (1,0)-tree triple with
+    s = alpha + beta > beta.  That needs t3 = t1 + t2 + beta, and s is then
+    g = gcd(t1 + beta, t2 + beta): the only divisor leaving a coprime pair.
     """
     t1, t2, t3 = triple
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    if not 1 <= t1 <= t2 < t3:
+    if not 1 <= t1 <= t2 < t3 or t3 != t1 + t2 + beta:
         return None
-    if beta == 0:
-        if t3 != t1 + t2:
-            return None
-        return TreeId(math.gcd(t1, t2), 0)
-    g = math.gcd(math.gcd(t1 + beta, t2 + beta), t3 + beta)
-    for s in _divisors_ascending(g):
-        if s <= beta:
-            continue
-        unit = EuclidTriple((t1 + beta) // s, (t2 + beta) // s, (t3 + beta) // s)
-        if on_unit_tree(unit):
-            return TreeId(s - beta, beta)
-    return None
-
-
-def _divisors_ascending(n: int):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    g = math.gcd(t1 + beta, t2 + beta)
+    return TreeId(g - beta, beta) if g > beta else None

@@ -26,7 +26,7 @@ from itertools import permutations, product
 
 from .counting import CountReport, count_finite_field
 from .errors import AllConstant, BudgetExceeded
-from .euclid import TreeId, euclid_branch, root
+from .euclid import TreeId, root
 from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
 from .triples import MarkoffContext, MarkoffTriple, is_fundamental, sort_triple
 
@@ -263,22 +263,23 @@ def _bfs_count(tree: TreeId, n: int) -> int:
     """Triples with maximum exactly n on one (alpha, beta)-tree, by BFS.
 
     Maxima strictly increase along branches, so nodes whose maximum exceeds
-    n are never expanded."""
+    n are never expanded.  The walk runs level by level on plain int
+    tuples, with the two branching maps of `euclid` written inline."""
     start = root(tree)
     if start.tau3 > n:
         return 0
+    beta = tree.beta
     count = 0
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for triple in frontier:
-            if triple.tau3 == n:
+        for t1, t2, t3 in frontier:
+            if t3 == n:
                 count += 1
                 continue  # children all have maximum > n
-            for b in (1, 2):
-                child = euclid_branch(triple, tree.beta, b)
-                if child.tau3 <= n and child not in seen:
+            for child in ((t2, t3, t2 + t3 + beta), (t1, t3, t1 + t3 + beta)):
+                if child[2] <= n and child not in seen:
                     seen.add(child)
                     nxt.append(child)
         frontier = nxt

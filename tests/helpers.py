@@ -1,6 +1,9 @@
 """Shared fixtures-by-convention for the test suite."""
 
+import math
+
 from markoff import counting
+from markoff.euclid import EuclidTriple, TreeId, on_unit_tree
 from markoff.field import PrimeModulus
 from markoff.poly import Polynomial, parse_poly
 from markoff.triples import MarkoffContext, MarkoffTriple
@@ -36,6 +39,37 @@ def count_factorize_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(counting, "factorize", counted)
     return calls
+
+
+def membership_by_divisors(triple, beta):
+    """Reference tree membership, the divisor loop `euclid.membership` used
+    before its one-gcd test: try every divisor s > beta of the gcd of the
+    shifted triple, smallest first, for a (1,0)-tree quotient."""
+    t1, t2, t3 = triple
+    if not 1 <= t1 <= t2 < t3:
+        return None
+    if beta == 0:
+        return TreeId(math.gcd(t1, t2), 0) if t3 == t1 + t2 else None
+    g = math.gcd(t1 + beta, t2 + beta, t3 + beta)
+    for s in _divisors_ascending(g):
+        if s <= beta:
+            continue
+        unit = EuclidTriple((t1 + beta) // s, (t2 + beta) // s, (t3 + beta) // s)
+        if on_unit_tree(unit):
+            return TreeId(s - beta, beta)
+    return None
+
+
+def _divisors_ascending(n):
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def random_nonconstant(rng, mod, max_deg):

@@ -62,7 +62,7 @@ def test_criterion_3_mobius_consistency(capsys):
         assert e == oracle_E_bfs(n)
         assert e == oracle_E_coprime(n)
     with capsys.disabled():
-        report(3, "Moebius divisor sum vs both E-oracles")
+        report(3, "divisor sum of E(d) = phi(d)/2 vs both E-oracles")
 
 
 def test_criterion_4_layer_bijection(capsys):
@@ -78,8 +78,8 @@ def test_criterion_4_layer_bijection(capsys):
 
 
 def test_criterion_5_c_beta_vs_oracle(capsys):
-    for beta in range(4):
-        for n in range(1, 101):
+    for beta in range(5):
+        for n in range(1, 201):
             assert count_C_beta(beta, n).value == oracle_C_beta(beta, n)
     for n in range(1, 101):
         assert count_C_beta(0, n).value == n // 2 + 1 == count_C0(n)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -356,3 +357,67 @@ class TestOptions:
             main(argv + ["--budget", "1"])
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
+
+
+def call(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; argparse exits count."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def count_parser_builds(monkeypatch) -> list:
+    """Record the prog of every argparse.ArgumentParser built from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+# every subcommand; --H and then --n; a usage error (2), a budget refusal (3),
+# a failed verification (1) and --help (0), each between successful calls
+MIXED_CALLS = (
+    ["count", "signatures", "--beta", "0", "--H", "40"],
+    ["count", "signatures", "--beta", "0", "--n", "40"],
+    ["verify", "--p", "13", "--A", "1", "--triple", "(t; t+2*i; t^2+2*i*t-2)"],
+    ["verify", "--p", "13", "--A", "1", "--triple", "(t; t; t)"],
+    ["tree", "--p", "13", "--A", "1", "--root", GOLDEN_TREE[0], "--depth", "1",
+     "--format", "text"],
+    ["count", "signatures", "--beta", "1", "--n", "x"],
+    ["descend", "--p", "13", "--A", "1", "--triple", GOLDEN_TREE[1]],
+    ["euclid", "--alpha", "1", "--beta", "0", "--depth", "9", "--budget", "8"],
+    ["euclid", "--alpha", "2", "--beta", "1", "--depth", "2", "--format", "text"],
+    ["count", "solutions", "--q", "5", "--A", "t", "--n", "2", "--brute"],
+    ["count", "solutions", "--q", "13", "--A", "t^2+1", "--n", "6"],
+    ["count", "signatures", "--help"],
+    ["count", "signatures", "--beta", "2", "--n", "30"],
+)
+
+
+class TestParserReuse:
+    def test_no_parser_is_built_after_the_first_call(self, capsys, monkeypatch):
+        built = count_parser_builds(monkeypatch)
+        cli.build_parser.cache_clear()
+        assert call(capsys, MIXED_CALLS[0])[0] == 0
+        assert built[0] == "markoff"  # the first call builds the parser
+        built.clear()
+        codes = [call(capsys, MIXED_CALLS[k % len(MIXED_CALLS)])[0] for k in range(50)]
+        assert set(codes) == {0, 1, 2, 3}
+        assert built == []
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        reused = [call(capsys, argv) for argv in MIXED_CALLS]
+        built = count_parser_builds(monkeypatch)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [call(capsys, argv) for argv in MIXED_CALLS]
+        assert built.count("markoff") == len(MIXED_CALLS)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 2, 0, 3, 0, 0, 0, 0, 0]

@@ -101,6 +101,9 @@ class TestCountE:
             assert count_E(n) == oracle_E_coprime(n)
 
     def test_mobius_inversion_consistency(self):
+        """E(d) = phi(d)/2 summed over the divisors of n is C_0(n) = n//2 + 1.
+
+        E once came from the Moebius inversion of this sum; the name is kept."""
         for n in range(1, 501):
             assert sum(count_E(d) for d in divisors(n)) == n // 2 + 1
 

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import budget_fields
+from helpers import budget_fields, membership_by_divisors
 from markoff.errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 from markoff.euclid import (
     EuclidTriple,
@@ -148,6 +150,26 @@ class TestMembership:
 
     def test_off_tree_shifted(self):
         assert membership(EuclidTriple(1, 1, 2), 1) is None
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 12), st.integers(-2, 400), st.integers(-2, 400),
+           st.integers(-2, 900))
+    def test_gcd_test_matches_divisor_loop(self, beta, t1, t2, t3):
+        triple = (t1, t2, t3)
+        assert membership(triple, beta) == membership_by_divisors(triple, beta)
+        # the sum condition is the rare one: also test its triples
+        on_sum = (t1, t2, t1 + t2 + beta)
+        assert membership(on_sum, beta) == membership_by_divisors(on_sum, beta)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 12), st.integers(0, 7), st.data())
+    def test_layer_vertices_match_divisor_loop(self, alpha, beta, j, data):
+        tree = TreeId(alpha, beta)
+        vertex = data.draw(st.sampled_from(sorted(layer(tree, j))))
+        assert membership(vertex, beta) == membership_by_divisors(vertex, beta) == tree
+        # the same vertex read against another beta
+        other = data.draw(st.integers(0, 12))
+        assert membership(vertex, other) == membership_by_divisors(vertex, other)
 
 
 class TestUnitTreeCharacterization:
