@@ -10,10 +10,10 @@ y of degree <= n, and the strata deg x <= deg y with
 beta + deg x + deg y <= n, are solved: `pair_count(q, beta, n)` of them,
 against the q^(2n+2) of a scan over all pairs (1521 against 390625 at
 q = 5, A = t, n = 3).  The ordered convention permutes the
-degree-sorted solutions.  Tree counts are recomputed by explicit BFS.  The
-census splits the enumerated solutions into fundamental / non-fundamental
-classes and compares each class with the matching divisor-sum term of the
-closed formula.
+degree-sorted solutions.  Tree counts are recomputed by walking each tree.
+The census splits the enumerated solutions into fundamental /
+non-fundamental classes and compares each class with the matching
+divisor-sum term of the closed formula.
 """
 
 from __future__ import annotations
@@ -260,29 +260,31 @@ def _ratio(count, term):
 
 
 def _bfs_count(tree: TreeId, n: int) -> int:
-    """Triples with maximum exactly n on one (alpha, beta)-tree, by BFS.
+    """Triples with maximum exactly n on one (alpha, beta)-tree, by a walk
+    from the root.
 
     Maxima strictly increase along branches, so nodes whose maximum exceeds
-    n are never expanded.  The walk runs level by level on plain int
-    tuples, with the two branching maps of `euclid` written inline."""
-    start = root(tree)
-    if start.tau3 > n:
-        return 0
+    n are never expanded.  No vertex is reached twice, so the walk keeps no
+    visited set: every vertex has t1 <= t2 < t3, with t1 = t2 only at the
+    root, and one gamma-reduction step undoes a branching, so a child
+    (u1, u2, u3) comes from (u2 - u1 - beta, u1, u2) by branch 1 or from
+    (u1, u2 - u1 - beta, u2) by branch 2, whichever is sorted.  Both are
+    sorted only when they are one triple with t1 = t2, the root, whose two
+    children coincide; the walk expands that child once, from branch 2.
+    It runs on a plain stack of int tuples, with the two branching maps of
+    `euclid` written inline."""
     beta = tree.beta
     count = 0
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t1, t2, t3 in frontier:
-            if t3 == n:
-                count += 1
-                continue  # children all have maximum > n
-            for child in ((t2, t3, t2 + t3 + beta), (t1, t3, t1 + t3 + beta)):
-                if child[2] <= n and child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
+    stack = [tuple(root(tree))]
+    while stack:
+        t1, t2, t3 = stack.pop()
+        if t3 == n:
+            count += 1
+            continue  # children all have maximum > n
+        if t1 < t2 and t2 + t3 + beta <= n:
+            stack.append((t2, t3, t2 + t3 + beta))
+        if t1 + t3 + beta <= n:
+            stack.append((t1, t3, t1 + t3 + beta))
     return count
 
 

@@ -8,13 +8,18 @@ them and the solution enumerator calls them directly.  `_mul` multiplies
 small operands by the schoolbook loop and larger ones by Kronecker
 substitution (one big-integer product).  A small expression parser and a
 deterministic renderer (plain residues, or minimal-magnitude forms using
-i = sqrt(-1)) round-trip polynomials through text; the parser builds `t^k`
-directly and refuses any power or product of degree above MAX_PARSE_DEGREE
-(a bound on each term, not on the number of terms in a sum).
+i = sqrt(-1)) round-trip polynomials through text.  The parser cuts the text
+into tokens (runs of ASCII digits, single non-blank characters) and reads
+them by recursive descent into values t^shift * coeffs, so `t^k` costs one
+shift; each sum is collected into one coefficient list and reduced mod p
+once, so a rendered degree-d polynomial parses in time linear in d.  It
+refuses any power or product of degree above MAX_PARSE_DEGREE (a bound on
+each term, not on the number of terms in a sum).
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 
@@ -217,36 +222,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def __divmod__(self, other):
-        """Long division: returns (q, r) with self = q*other + r, deg r < deg other."""
-        other = self._check(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.modulus.p
-        a, b = list(self.coeffs), other.coeffs
-        n = len(b)
-        if len(a) < n:
-            return Polynomial.zero(self.modulus), self
-        lead_inv = pow(b[-1], p - 2, p)
-        q = [0] * (len(a) - n + 1)
-        for k in range(len(a) - n, -1, -1):
-            if len(a) >= k + n and a[-1]:
-                qk = a[-1] * lead_inv % p
-                q[k] = qk
-                for j in range(n):
-                    a[k + j] = (a[k + j] - qk * b[j]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        while q and q[-1] == 0:
-            q.pop()
-        return Polynomial._make(self.modulus, tuple(q)), Polynomial._make(self.modulus, tuple(a))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -324,115 +299,111 @@ def parse_poly(text: str, modulus: PrimeModulus) -> Polynomial:
     """Evaluate a polynomial expression in F_p[t].
 
     Grammar: sums/differences of products of powers of atoms, where an atom
-    is an integer literal, `t`, `i` (requires p = 1 mod 4), or a
-    parenthesized expression.  `^` takes a non-negative integer literal.
+    is an integer literal (ASCII digits), `t`, `i` (requires p = 1 mod 4),
+    or a parenthesized expression.  `^` takes a non-negative integer literal.
     """
-    return _Parser(text, modulus).run()
+    parser = _Parser(text, modulus)
+    _, coeffs = parser.expr()
+    pos, token = parser.tokens[parser.k]
+    if token:
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return Polynomial._make(modulus, coeffs)
+
+
+# A token is a run of ASCII digits or one non-blank character.
+_TOKEN = re.compile(r"[0-9]+|\S")
 
 
 class _Parser:
+    """Recursive descent over the (position, token) list of the text, closed
+    by the end token (len(text), "").  A value (shift, coeffs) stands for
+    t^shift times the polynomial with coefficient tuple coeffs; a sum is
+    collected term by term and reduced once."""
+
     def __init__(self, text, modulus):
-        self.text = text
-        self.pos = 0
+        self.tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(text)]
+        self.tokens.append((len(text), ""))
+        self.k = 0
         self.modulus = modulus
 
-    def run(self):
-        value = self.expr()
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        return value
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def expr(self):
-        ch = self.peek()
-        negate = False
-        if ch in "+-":
-            self.pos += 1
-            negate = ch == "-"
-        value = self.term()
-        if negate:
-            value = -value
+        terms = []
         while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
+            token = self.tokens[self.k][1]
+            if token in ("+", "-"):
+                self.k += 1
+            elif terms:
+                break
+            terms.append((-1 if token == "-" else 1, *self.term()))
+        # a zero term may carry any shift, such as the 10^9 of (0*t)^1000000000
+        acc = [0] * max((shift + len(c) for _, shift, c in terms if c), default=0)
+        for sign, shift, c in terms:
+            for j, v in enumerate(c, shift):
+                acc[j] += sign * v
+        p = self.modulus.p
+        acc = [v % p for v in acc]
+        while acc and acc[-1] == 0:
+            acc.pop()
+        return 0, tuple(acc)
 
     def term(self):
-        self.skip_ws()
-        start = self.pos
-        value = self.power()
-        while self.peek() == "*":
-            self.pos += 1
-            factor = self.power()
-            degree = value.degree + factor.degree
-            if degree > MAX_PARSE_DEGREE:
-                raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
-            value = value * factor
-        return value
+        start = self.tokens[self.k][0]
+        shift, coeffs = self.power()
+        while self.tokens[self.k][1] == "*":
+            self.k += 1
+            s, c = self.power()
+            if coeffs and c:
+                self.cap(shift + len(coeffs) + s + len(c) - 2, start)
+            shift, coeffs = shift + s, _mul(coeffs, c, self.modulus.p)
+        return shift, coeffs
 
     def power(self):
-        self.skip_ws()
-        start = self.pos
-        value = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
-            k = self.integer("exponent")
-            degree = k * value.degree
-            if degree > MAX_PARSE_DEGREE:
-                raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
-            if value.coeffs == (0, 1):
-                value = Polynomial._make(self.modulus, (0,) * k + (1,))
-            else:
-                value = value**k
-        return value
+        start = self.tokens[self.k][0]
+        shift, coeffs = self.atom()
+        while self.tokens[self.k][1] == "^":
+            pos, token = self.tokens[self.k + 1]
+            if not (token.isascii() and token.isdigit()):
+                raise ParseError("expected exponent", pos)
+            self.k += 2
+            k = int(token)
+            if coeffs:
+                self.cap(k * (shift + len(coeffs) - 1), start)
+            if len(coeffs) == 1:
+                coeffs = (pow(coeffs[0], k, self.modulus.p),)
+            elif coeffs:
+                coeffs = (Polynomial._make(self.modulus, coeffs) ** k).coeffs
+            elif k == 0:
+                coeffs = (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
+            shift *= k
+        return shift, coeffs
+
+    def cap(self, degree, start):
+        if degree > MAX_PARSE_DEGREE:
+            raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
 
     def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        pos, token = self.tokens[self.k]
+        self.k += 1
+        if token == "(":
             value = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
+            pos, token = self.tokens[self.k]
+            if token != ")":
+                raise ParseError("expected ')'", pos)
+            self.k += 1
             return value
-        if ch == "t":
-            self.pos += 1
-            return Polynomial.t(self.modulus)
-        if ch == "i":
-            at = self.pos
-            self.pos += 1
+        if token == "t":
+            return 1, (1,)
+        if token == "i":
             i = sqrt_minus_one(self.modulus)
             if i is None:
                 raise IUnavailable(
-                    f"'i' at position {at}: -1 has no square root mod {self.modulus.p}"
+                    f"'i' at position {pos}: -1 has no square root mod {self.modulus.p}"
                 )
-            return Polynomial.constant(self.modulus, i)
-        if ch.isdigit():
-            return Polynomial.constant(self.modulus, self.integer("integer"))
-        raise ParseError("expected integer, 't', 'i' or '('", self.pos)
-
-    def integer(self, what):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected {what}", start)
-        return int(self.text[start : self.pos])
+            return 0, (i,)
+        if token.isascii() and token.isdigit():
+            c = int(token) % self.modulus.p
+            return 0, (c,) if c else ()
+        raise ParseError("expected integer, 't', 'i' or '('", pos)
 
 
 # ----------------------------------------------------------------------

@@ -228,11 +228,6 @@ class MarkoffContext:
             raise TypeError(f"unknown generator {gen!r}")
         return MarkoffTriple(*coords)
 
-    def apply_word(self, triple: MarkoffTriple, word: GroupWord) -> MarkoffTriple:
-        for gen in word:
-            triple = self.apply_generator(triple, gen)
-        return triple
-
     def replay_word(self, triple: MarkoffTriple, word: GroupWord) -> MarkoffTriple:
         """Invert a recorded word: replay right-to-left (every generator is
         an involution)."""

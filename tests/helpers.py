@@ -3,7 +3,7 @@
 import math
 
 from markoff import counting
-from markoff.euclid import EuclidTriple, TreeId, on_unit_tree
+from markoff.euclid import EuclidTriple, TreeId, on_unit_tree, root
 from markoff.field import PrimeModulus
 from markoff.poly import Polynomial, parse_poly
 from markoff.triples import MarkoffContext, MarkoffTriple
@@ -70,6 +70,30 @@ def _divisors_ascending(n):
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def bfs_count_with_seen_set(tree, n):
+    """Reference tree count, the walk `oracle._bfs_count` made before it
+    dropped its visited set: level by level, skipping every vertex already
+    seen."""
+    start = tuple(root(tree))
+    if start[2] > n:
+        return 0
+    count = 0
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for t1, t2, t3 in frontier:
+            if t3 == n:
+                count += 1
+                continue
+            for child in ((t2, t3, t2 + t3 + tree.beta), (t1, t3, t1 + t3 + tree.beta)):
+                if child[2] <= n and child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        frontier = nxt
+    return count
 
 
 def random_nonconstant(rng, mod, max_deg):

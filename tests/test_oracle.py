@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import P5, P7, P13, budget_fields, context
+from helpers import P5, P7, P13, bfs_count_with_seen_set, budget_fields, context
 from markoff import oracle
 from markoff.errors import AllConstant, BudgetExceeded
 from markoff.oracle import (
@@ -16,6 +16,7 @@ from markoff.oracle import (
     pair_count,
 )
 from markoff.counting import count_C_beta, count_E
+from markoff.euclid import TreeId
 from markoff.poly import Polynomial
 from markoff.triples import MarkoffTriple, is_fundamental, sort_triple
 
@@ -209,6 +210,15 @@ class TestTreeOracles:
         for beta in range(4):
             for n in range(1, 41):
                 assert oracle_C_beta(beta, n) == count_C_beta(beta, n).value
+
+    def test_walk_without_visited_set_matches_reference(self):
+        # every tree whose root fits under n, the trees that cannot reach
+        # maximum n included, and the first whose root does not
+        for beta in range(5):
+            for n in range(1, 151):
+                for alpha in range(1, (n - beta) // 2 + 2):
+                    tree = TreeId(alpha, beta)
+                    assert oracle._bfs_count(tree, n) == bfs_count_with_seen_set(tree, n), (tree, n)
 
     def test_budgets(self):
         with pytest.raises(BudgetExceeded) as err:

@@ -1,15 +1,20 @@
-"""The names that tooling looks up in the package all exist."""
+"""The names that tooling looks up in the package all exist, and the
+commands the README shows run."""
 
 import importlib.util
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import markoff
+from markoff import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def test_tracing_targets_and_exports_resolve():
@@ -32,3 +37,19 @@ def test_bare_pytest_finds_the_package():
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def readme_commands():
+    """Every `markoff ...` line of the README's "Command line" code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("markoff ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        argv = shlex.split(line.split(" > ", 1)[0])[1:]
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
