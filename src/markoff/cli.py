@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MarkoffError, ValueError, ZeroDivisionError) as exc:
+    except (MarkoffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

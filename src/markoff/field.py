@@ -54,7 +54,7 @@ class PrimeModulus:
             raise TypeError("modulus must be an int")
         if not 3 <= self.p < MAX_MODULUS:
             raise ValueError(f"modulus must satisfy 3 <= p < 2**63, got {self.p}")
-        if self.p % 2 == 0 or not is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"modulus must be an odd prime, got {self.p}")
 
     def __repr__(self):

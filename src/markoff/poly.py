@@ -14,7 +14,9 @@ them by recursive descent into values t^shift * coeffs, so `t^k` costs one
 shift; each sum is collected into one coefficient list and reduced mod p
 once, so a rendered degree-d polynomial parses in time linear in d.  It
 refuses any power or product of degree above MAX_PARSE_DEGREE (a bound on
-each term, not on the number of terms in a sum).
+each term, not on the number of terms in a sum).  The renderer works out the
+signed factor of each distinct coefficient once per call and writes every
+term from it.
 """
 
 from __future__ import annotations
@@ -365,7 +367,7 @@ class _Parser:
             if not (token.isascii() and token.isdigit()):
                 raise ParseError("expected exponent", pos)
             self.k += 2
-            k = int(token)
+            k = self.integer(token, pos)
             if coeffs:
                 self.cap(k * (shift + len(coeffs) - 1), start)
             if len(coeffs) == 1:
@@ -376,6 +378,12 @@ class _Parser:
                 coeffs = (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
             shift *= k
         return shift, coeffs
+
+    def integer(self, token, pos):
+        try:
+            return int(token)
+        except ValueError:  # a run of ASCII digits fails only the int-string limit
+            raise ParseError(f"integer literal of {len(token)} digits is too long", pos) from None
 
     def cap(self, degree, start):
         if degree > MAX_PARSE_DEGREE:
@@ -401,7 +409,7 @@ class _Parser:
                 )
             return 0, (i,)
         if token.isascii() and token.isdigit():
-            c = int(token) % self.modulus.p
+            c = self.integer(token, pos) % self.modulus.p
             return 0, (c,) if c else ()
         raise ParseError("expected integer, 't', 'i' or '('", pos)
 
@@ -422,40 +430,28 @@ def render_poly(f: Polynomial, style: str = "plain") -> str:
         raise ValueError(f"unknown style {style!r}")
     if f.is_zero():
         return "0"
-    p = f.modulus.p
-    inv_i = None
+    coeffs, p = f.coeffs, f.modulus.p
     if style == "with_i":
         i = sqrt_minus_one(f.modulus)
         if i is None:
             raise IUnavailable(f"with_i rendering needs p = 1 (mod 4), got p = {p}")
         inv_i = pow(i, p - 2, p)
-    parts = []
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[k]
-        if not c:
-            continue
-        if style == "plain":
-            mag, neg, imag = c, False, False
-        else:
-            # (magnitude, imag?, negative?) compares in exactly the
-            # preference order: small, then real, then positive
+    # each distinct coefficient's signed factor, such as "+", "-3*" or "-2*i*"
+    signed = {}
+    for c in set(coeffs) - {0}:
+        mag, sign, unit = c, "+", ""
+        if style == "with_i":
             v = c * inv_i % p
-            mag, imag, neg = min(
-                (c, False, False),
-                (p - c, False, True),
-                (v, True, False),
-                (p - v, True, True),
-            )
-        factors = []
-        if mag != 1 or (not imag and k == 0):
-            factors.append(str(mag))
-        if imag:
-            factors.append("i")
-        if k >= 1:
-            factors.append("t" if k == 1 else f"t^{k}")
-        text = "*".join(factors)
-        if not parts:
-            parts.append(f"-{text}" if neg else text)
-        else:
-            parts.append(f"-{text}" if neg else f"+{text}")
-    return "".join(parts)
+            # v = +-c would need i = +-1, so a real and an imaginary form never tie
+            if min(v, p - v) < min(c, p - c):
+                mag, unit = v, "i*"
+            if mag > p - mag:
+                mag, sign = p - mag, "-"
+        signed[c] = sign + ("" if mag == 1 else f"{mag}*") + unit
+    terms = [f"{signed[coeffs[k]]}t^{k}" for k in range(len(coeffs) - 1, 1, -1) if coeffs[k]]
+    if len(coeffs) > 1 and coeffs[1]:
+        terms.append(signed[coeffs[1]] + "t")
+    if coeffs[0]:
+        factor = signed[coeffs[0]]
+        terms.append(factor[:-1] if factor.endswith("*") else factor + "1")
+    return "".join(terms).removeprefix("+")

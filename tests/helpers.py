@@ -4,7 +4,8 @@ import math
 
 from markoff import counting
 from markoff.euclid import EuclidTriple, TreeId, on_unit_tree, root
-from markoff.field import PrimeModulus
+from markoff.errors import IUnavailable
+from markoff.field import PrimeModulus, sqrt_minus_one
 from markoff.poly import Polynomial, parse_poly
 from markoff.triples import MarkoffContext, MarkoffTriple
 
@@ -94,6 +95,51 @@ def bfs_count_with_seen_set(tree, n):
                     nxt.append(child)
         frontier = nxt
     return count
+
+
+def render_by_candidates(f, style="plain"):
+    """Reference renderer, the loop `poly.render_poly` ran before its table of
+    signed factors: for every term, the least of four candidate forms
+    (magnitude, imaginary?, negative?), then the factors joined by '*'."""
+    if style not in ("plain", "with_i"):
+        raise ValueError(f"unknown style {style!r}")
+    if f.is_zero():
+        return "0"
+    p = f.modulus.p
+    inv_i = None
+    if style == "with_i":
+        i = sqrt_minus_one(f.modulus)
+        if i is None:
+            raise IUnavailable(f"with_i rendering needs p = 1 (mod 4), got p = {p}")
+        inv_i = pow(i, p - 2, p)
+    parts = []
+    for k in range(len(f.coeffs) - 1, -1, -1):
+        c = f.coeffs[k]
+        if not c:
+            continue
+        if style == "plain":
+            mag, neg, imag = c, False, False
+        else:
+            v = c * inv_i % p
+            mag, imag, neg = min(
+                (c, False, False),
+                (p - c, False, True),
+                (v, True, False),
+                (p - v, True, True),
+            )
+        factors = []
+        if mag != 1 or (not imag and k == 0):
+            factors.append(str(mag))
+        if imag:
+            factors.append("i")
+        if k >= 1:
+            factors.append("t" if k == 1 else f"t^{k}")
+        text = "*".join(factors)
+        if not parts:
+            parts.append(f"-{text}" if neg else text)
+        else:
+            parts.append(f"-{text}" if neg else f"+{text}")
+    return "".join(parts)
 
 
 def random_nonconstant(rng, mod, max_deg):

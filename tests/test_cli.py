@@ -69,6 +69,12 @@ class TestVerify:
             f"error: term degree (position 0) 300000000 exceeds budget {MAX_PARSE_DEGREE}\n"
         )
 
+    def test_long_literal_is_a_parse_error(self, capsys):
+        code = main(["verify", "--p", "13", "--A", "1", "--triple", f"(t; t; {'1' * 5000})"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: integer literal of 5000 digits is too long (at position 1)\n"
+
 
 class TestTree:
     ROOT_ARGS = ("tree", "--p", "13", "--A", "1", "--root", "(t; t+2*i; t^2+2*i*t-2)")

@@ -21,7 +21,7 @@ from markoff.counting import (
     factorize,
 )
 from markoff.errors import BudgetExceeded, ConstantANotSupported, NonConstantA
-from markoff.oracle import oracle_E_coprime
+from markoff.oracle import oracle_C_beta, oracle_E_coprime
 
 
 class TestArithmeticFunctions:
@@ -124,6 +124,11 @@ class TestCBeta:
         report = count_C_beta(1, 3)
         assert report.value == 2
         assert [t.d for t in report.terms] == [1, 2]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 500))
+    def test_matches_tree_walk_oracle(self, beta, n):
+        assert count_C_beta(beta, n).value == oracle_C_beta(beta, n)
 
     def test_beta_zero_equals_c0(self):
         for n in range(1, 501):

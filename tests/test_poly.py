@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import budget_fields
+from helpers import budget_fields, render_by_candidates
 import markoff.oracle
 import markoff.poly
 from markoff.errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
-from markoff.field import PrimeModulus, sqrt_minus_one
+from markoff.field import PrimeModulus, is_prime, sqrt_minus_one
 from markoff.poly import (
     MAX_PARSE_DEGREE,
     NEG_INF,
@@ -25,6 +26,11 @@ from markoff.poly import (
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
 P13 = PrimeModulus(13)
+P17 = PrimeModulus(17)
+P29 = PrimeModulus(29)
+# the least prime p = 1 (mod 4) above 2^60: far too many residues for a table
+# per modulus
+P_LARGE = PrimeModulus(next(p for p in itertools.count(2**60 + 1, 4) if is_prime(p)))
 
 
 def poly(mod, *coeffs):
@@ -46,8 +52,9 @@ def poly_of_degree(rng, mod, degree):
     return Polynomial(mod, coeffs + [rng.randrange(1, mod.p)])
 
 
-def random_poly(rng, mod, max_deg):
-    return poly_of_degree(rng, mod, rng.randint(-1, max_deg))
+def small_polys(mod):
+    """Polynomials of degree -1..5 with any residues as coefficients."""
+    return st.lists(st.integers(0, mod.p - 1), max_size=6).map(lambda c: Polynomial(mod, c))
 
 
 class TestStructure:
@@ -80,20 +87,23 @@ class TestArithmetic:
         with pytest.raises(ModulusMismatch):
             poly(P5, 1) + poly(P13, 1)
 
-    def test_ring_axioms_random(self):
-        rng = random.Random(403)
-        for _ in range(200):
-            f = random_poly(rng, P13, 5)
-            g = random_poly(rng, P13, 5)
-            h = random_poly(rng, P13, 5)
-            assert f * g == g * f
-            assert (f * g) * h == f * (g * h)
-            assert f * (g + h) == f * g + f * h
-            assert f + (-f) == Polynomial.zero(P13)
-            if not f.is_zero() and not g.is_zero():
-                assert (f * g).degree == f.degree + g.degree
-            else:
-                assert (f * g).degree == NEG_INF
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from([P5, P13]).flatmap(lambda mod: st.tuples(*[small_polys(mod)] * 3)))
+    def test_ring_axioms(self, fgh):
+        f, g, h = fgh
+        zero = Polynomial.zero(f.modulus)
+        assert f + g == g + f
+        assert (f + g) + h == f + (g + h)
+        assert f - g == f + (-g)
+        assert f + (-f) == zero
+        assert f * g == g * f
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert f * Polynomial.constant(f.modulus, 1) == f
+        if not f.is_zero() and not g.is_zero():
+            assert (f * g).degree == f.degree + g.degree
+        else:
+            assert (f * g).degree == NEG_INF
 
     def test_scalar_and_pow(self):
         f = poly(P5, 1, 1)
@@ -276,18 +286,16 @@ class TestPolySqrt:
         assert poly_sqrt(Polynomial.zero(P13)) == Polynomial.zero(P13)
         assert poly_sqrt(poly(P13, 0, 1)) is None
 
-    def test_square_roundtrip_random(self):
-        rng = random.Random(405)
-        for _ in range(1000):
-            f = random_poly(rng, P13, 5)
-            root = poly_sqrt(f * f)
-            if f.is_zero():
-                assert root == f
-                continue
-            assert root in (f, -f)
-            assert root * root == f * f
-            lead = root.leading_coeff
-            assert lead <= 13 - lead
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from([P5, P13]).flatmap(small_polys))
+    def test_square_roundtrip(self, f):
+        root = poly_sqrt(f * f)
+        if f.is_zero():
+            assert root == f
+            return
+        assert root in (f, -f)
+        lead = root.leading_coeff
+        assert lead <= f.modulus.p - lead
 
 
 class TestParser:
@@ -317,6 +325,11 @@ class TestParser:
             ("", 0), ("   ", 3), ("(", 1),
             # only ASCII digits make a number
             ("\u0663", 0), ("t^\u00b2", 2),
+            # a literal past Python's int-string limit, as coefficient or exponent
+            pytest.param("1" * 5000, 0, id="long-coefficient"),
+            pytest.param("t+" + "7" * 5000 + "*t", 2, id="long-inner-coefficient"),
+            pytest.param("t^" + "1" * 5000, 2, id="long-t-exponent"),
+            pytest.param("2^" + "1" * 5000, 2, id="long-constant-exponent"),
         ],
     )
     def test_syntax_error_positions(self, text, pos):
@@ -397,6 +410,29 @@ class TestRenderer:
         assert render_poly(poly(P13, 0, 5), "with_i") == "i*t"
         assert render_poly(poly(P13, 8), "with_i") == "-i"
         assert render_poly(poly(P13, 1, 0, 10), "with_i") == "2*i*t^2+1"
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.integers(-1, 6), st.integers(7, 1200)),
+        st.sampled_from([P5, P13, P17, P29, P_LARGE, P7]),
+        st.integers(0, 2**32),
+    )
+    def test_matches_candidate_reference(self, degree, mod, seed):
+        rng = random.Random(seed)
+        i = sqrt_minus_one(mod)
+        units, styles = ((1, i), ("plain", "with_i")) if i else ((1,), ("plain",))
+        # small multiples of 1 and i beside uniform residues, so that at the
+        # large prime the short forms (1, -1, i, -2*i, ...) occur as well
+        coeffs = [
+            rng.randrange(mod.p) if rng.random() < 0.5
+            else rng.choice((1, -1)) * rng.randint(1, 3) * rng.choice(units) % mod.p
+            for _ in range(degree + 1)
+        ]
+        if coeffs:
+            coeffs[-1] = coeffs[-1] or 1
+        f = Polynomial(mod, coeffs)
+        for style in styles:
+            assert render_poly(f, style) == render_by_candidates(f, style)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(st.one_of(st.integers(-1, 6), st.integers(7, 1200)), st.randoms(use_true_random=False))

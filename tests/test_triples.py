@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     GOLDEN_ROOT,
@@ -35,6 +37,14 @@ from markoff.triples import (
     is_fundamental,
     sort_triple,
 )
+
+
+@st.composite
+def nonconstant_polys(draw, mod):
+    """Polynomials of degree 1..3 with any residues as coefficients."""
+    low = draw(st.lists(st.integers(0, mod.p - 1), min_size=1, max_size=3))
+    return Polynomial(mod, [*low, draw(st.integers(1, mod.p - 1))])
+
 
 CTX1 = context(P13, "1")
 CTX_T13 = context(P13, "t")
@@ -190,17 +200,27 @@ class TestDescend:
         result = CTX1.descend(node)
         assert CTX1.replay_word(result.fundamental, result.word) == node
 
-    def test_deep_zero_family_node(self):
-        rng = random.Random(409)
-        ctx = context(P5, "t")
-        root = ctx.make_root(parse_poly("t^2", P5), 1, 1, "zero")
-        node = sort_triple(root)[0]
-        for _ in range(6):
-            node = sort_triple(ctx.apply_sigma(node, rng.choice((1, 2))))[0]
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([P5, P13]).flatmap(nonconstant_polys),
+        st.sampled_from(["1", "t", "t^2+1"]),
+        st.sampled_from([1, -1]),
+        st.sampled_from([1, -1]),
+        st.booleans(),
+        st.lists(st.sampled_from([1, 2]), max_size=8),
+    )
+    def test_replay_inverts_descent(self, f, a_expr, a, sign, zero, word):
+        # roots of either family (the constant one needs constant A), grown
+        # by a word of branching moves, sorting after each move
+        ctx = context(f.modulus, a_expr)
+        family = "zero" if zero or ctx.beta else "constant"
+        node = sort_triple(ctx.make_root(f, a, sign, family))[0]
+        for branch in word:
+            node = sort_triple(ctx.apply_sigma(node, branch))[0]
         result = ctx.descend(node)
-        form = ctx.classify_fundamental(result.fundamental)
-        assert isinstance(form, ZeroForm)
         assert ctx.replay_word(result.fundamental, result.word) == node
+        form = ctx.classify_fundamental(result.fundamental)
+        assert isinstance(form, ZeroForm if family == "zero" else ConstantForm)
 
     def test_constant_orbit_has_no_fundamental(self):
         # (1, 2, 2t) = rho(1, 2, 0) over F_5, A = t: descent dead-ends on an
