@@ -27,7 +27,7 @@ from .counting import C_A_from_C_beta, count_C_beta, count_finite_field, cumulat
 from .errors import BudgetExceeded, MarkoffError, ParseError
 from .field import PrimeModulus, sqrt_minus_one
 from .oracle import DEFAULT_PAIR_BUDGET, census, enumerate_solutions, write_solutions_jsonl
-from .poly import NEG_INF, Polynomial, parse_poly
+from .poly import NEG_INF, parse_poly
 from .triples import (
     DEFAULT_TREE_DEPTH_BUDGET,
     ConstantForm,
@@ -35,7 +35,6 @@ from .triples import (
     MarkoffTriple,
     ZeroForm,
     is_fundamental,
-    sort_triple,
 )
 
 
@@ -79,10 +78,8 @@ def cmd_verify(args) -> int:
     if not ctx.is_solution(triple):
         _emit({"solution": False})
         return 1
-    fundamental = False
     height = triple.height()
-    if height > 0:
-        fundamental = is_fundamental(sort_triple(triple)[0])
+    fundamental = height > 0 and is_fundamental(triple)
     _emit(
         {
             "solution": True,

@@ -28,9 +28,11 @@ from .counting import CountReport, count_finite_field
 from .errors import AllConstant, BudgetExceeded
 from .euclid import TreeId, root
 from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
-from .triples import MarkoffContext, MarkoffTriple, is_fundamental, sort_triple
+from .triples import MarkoffContext, MarkoffTriple, is_fundamental
 
 DEFAULT_PAIR_BUDGET = 10**9
+E_ORACLE_MAX_N = 10**4
+C_BETA_ORACLE_MAX_N = 500
 
 CONVENTIONS = ("ordered", "degree_sorted")
 
@@ -60,7 +62,7 @@ def _polys_of_degree(q, d):
 def enumerate_solutions(
     ctx: MarkoffContext,
     max_height: int,
-    convention: str = "ordered",
+    convention: str,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> list[MarkoffTriple]:
     """All solutions with every degree <= max_height, not all constant.
@@ -191,8 +193,7 @@ def _ratio_str(ratio):
 def census(
     ctx: MarkoffContext,
     n: int,
-    convention: str = "degree_sorted",
-    budget: int = DEFAULT_PAIR_BUDGET,
+    convention: str,
     solutions: list[MarkoffTriple] | None = None,
 ) -> CensusReport:
     """Enumerate height-n solutions and split them against the formula.
@@ -200,25 +201,25 @@ def census(
     The d = 1 divisor term counts fundamental triples and the d > 1 terms
     count non-fundamental triples that descend to a fundamental one; members
     of constant-solution orbits form a third class with no matching term.
+    Each triple is classified as given, unsorted; `descend` sorts it itself.
     Measured/predicted ratios are kept exact.  A caller that already holds
     `enumerate_solutions(ctx, n, convention)` passes it as `solutions`, and
     nothing is enumerated again.
     """
     _check_convention(convention)
     if solutions is None:
-        solutions = enumerate_solutions(ctx, n, convention, budget)
+        solutions = enumerate_solutions(ctx, n, convention)
     fundamental = 0
     nonfundamental = 0
     constant_orbit = 0
     for triple in solutions:
         if triple.height() != n:
             continue
-        sorted_triple, _ = sort_triple(triple)
-        if is_fundamental(sorted_triple):
+        if is_fundamental(triple):
             fundamental += 1
             continue
         try:
-            ctx.descend(sorted_triple)
+            ctx.descend(triple)
         except AllConstant:
             constant_orbit += 1
         else:
@@ -288,45 +289,45 @@ def _bfs_count(tree: TreeId, n: int) -> int:
     return count
 
 
-def oracle_E_bfs(n: int, budget: int = 10**4) -> int:
+def oracle_E_bfs(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
-    if n > budget:
-        raise BudgetExceeded("oracle n", n, budget)
+    if n > E_ORACLE_MAX_N:
+        raise BudgetExceeded("oracle n", n, E_ORACLE_MAX_N)
     if n == 1:
         return 1  # by convention; the tree has no maximum below 2
     return _bfs_count(TreeId(1, 0), n)
 
 
-def oracle_E_coprime(n: int, budget: int = 10**4) -> int:
+def oracle_E_coprime(n: int) -> int:
     """Independent count: pairs b <= n/2 with gcd(b, n) = 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > budget:
-        raise BudgetExceeded("oracle n", n, budget)
+    if n > E_ORACLE_MAX_N:
+        raise BudgetExceeded("oracle n", n, E_ORACLE_MAX_N)
     if n == 1:
         return 1
     return sum(1 for b in range(1, n // 2 + 1) if math.gcd(b, n) == 1)
 
 
-def oracle_E(n: int, budget: int = 10**4) -> int:
+def oracle_E(n: int) -> int:
     """Both E-oracles, cross-checked against each other."""
-    bfs = oracle_E_bfs(n, budget)
-    coprime = oracle_E_coprime(n, budget)
+    bfs = oracle_E_bfs(n)
+    coprime = oracle_E_coprime(n)
     if bfs != coprime:
         raise AssertionError(f"E-oracles disagree at n={n}: bfs={bfs} coprime={coprime}")
     return bfs
 
 
-def oracle_C_beta(beta: int, n: int, budget: int = 500) -> int:
+def oracle_C_beta(beta: int, n: int) -> int:
     """Recompute C_beta(n) by walking every (alpha, beta)-tree that can
     reach maximum n, then adding one for the fundamental signature."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
     if n < 1:
         raise ValueError("n must be positive")
-    if n > budget:
-        raise BudgetExceeded("oracle n", n, budget)
+    if n > C_BETA_ORACLE_MAX_N:
+        raise BudgetExceeded("oracle n", n, C_BETA_ORACLE_MAX_N)
     total = 0
     for alpha in range(1, n + 1):
         # a tree contributes only if n = d*alpha + (d-1)*beta for some d >= 2

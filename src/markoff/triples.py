@@ -23,7 +23,7 @@ from .errors import (
     UnclassifiableInput,
 )
 from .field import PrimeModulus, sqrt_minus_one
-from .poly import NEG_INF, Polynomial, render_poly
+from .poly import Polynomial, render_poly
 
 DEFAULT_TREE_DEPTH_BUDGET = 12
 
@@ -168,10 +168,10 @@ def sort_triple(triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
 
 
 def is_fundamental(triple: MarkoffTriple) -> bool:
-    """True iff deg y = deg z.  The triple must already be sorted."""
-    if not triple.is_sorted():
-        raise NotFundamental("triple must be degree-sorted first")
-    return triple.y.degree == triple.z.degree
+    """True iff the two highest degrees are equal, in any coordinate order
+    (deg y = deg z once sorted).  Raises nothing."""
+    _, middle, top = sorted(triple.signature())
+    return middle == top
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Shared fixtures-by-convention for the test suite."""
 
 import math
+import re
+from pathlib import Path
 
 from markoff import counting
 from markoff.euclid import EuclidTriple, TreeId, on_unit_tree, root
@@ -13,10 +15,19 @@ P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
 P13 = PrimeModulus(13)
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def triple_of(text: str, mod: PrimeModulus) -> MarkoffTriple:
     parts = text.strip()[1:-1].split(";")
     return MarkoffTriple(*(parse_poly(part, mod) for part in parts))
+
+
+def readme_commands():
+    """Every `markoff ...` line of the README's "Command line" code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("markoff ")]
 
 
 def context(mod: PrimeModulus, a_expr: str) -> MarkoffContext:

@@ -1,20 +1,20 @@
-"""The names that tooling looks up in the package all exist, and the
-commands the README shows run."""
+"""The names that tooling looks up in the package all exist, the commands
+the README shows run, and no module imports a name it never reads."""
 
+import ast
 import importlib.util
 import os
-import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import markoff
+from helpers import readme_commands
 from markoff import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
-README = ROOT / "README.md"
 
 
 def test_tracing_targets_and_exports_resolve():
@@ -39,13 +39,6 @@ def test_bare_pytest_finds_the_package():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def readme_commands():
-    """Every `markoff ...` line of the README's "Command line" code block."""
-    section = README.read_text().split("## Command line", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    return [line for line in block.splitlines() if line.startswith("markoff ")]
-
-
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     commands = readme_commands()
     assert commands
@@ -53,3 +46,30 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for line in commands:
         argv = shlex.split(line.split(" > ", 1)[0])[1:]
         assert cli.main(argv) == 0, (line, capsys.readouterr().err)
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads and does not list in __all__."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "markoff").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {path.name: names for path in paths if (names := _unused_imports(path))}
+    assert unused == {}

@@ -1,4 +1,4 @@
-import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from helpers import (
     P13,
     budget_fields,
     context,
-    random_nonconstant,
     triple_of,
 )
 from markoff.errors import (
@@ -23,9 +22,7 @@ from markoff.errors import (
     IUnavailable,
     NotFundamental,
     NotSolution,
-    UnclassifiableInput,
 )
-from markoff.field import PrimeModulus
 from markoff.poly import NEG_INF, Polynomial, parse_poly
 from markoff.triples import (
     RHO,
@@ -40,15 +37,59 @@ from markoff.triples import (
 
 
 @st.composite
-def nonconstant_polys(draw, mod):
-    """Polynomials of degree 1..3 with any residues as coefficients."""
-    low = draw(st.lists(st.integers(0, mod.p - 1), min_size=1, max_size=3))
+def nonconstant_polys(draw, mod, max_deg=3):
+    """Polynomials of degree 1..max_deg with any residues as coefficients."""
+    low = draw(st.lists(st.integers(0, mod.p - 1), min_size=1, max_size=max_deg))
     return Polynomial(mod, [*low, draw(st.integers(1, mod.p - 1))])
 
 
 CTX1 = context(P13, "1")
 CTX_T13 = context(P13, "t")
 CTX_T5 = context(P5, "t")
+SIGNS = st.sampled_from([1, -1])
+
+
+@st.composite
+def fundamental_forms(draw, max_deg=3):
+    """(ctx, form) over F_13: zero forms with A = t or A = 1, constant forms
+    (which need constant A) with A = 1; f of degree 1..max_deg."""
+    ctx = draw(st.sampled_from([CTX_T13, CTX1]))
+    f = draw(nonconstant_polys(P13, max_deg))
+    if ctx.beta or draw(st.booleans()):
+        return ctx, ZeroForm(f=f, sign=draw(SIGNS))
+    return ctx, ConstantForm(f=f, a=draw(SIGNS), sign=draw(SIGNS))
+
+
+def _root_of(ctx, form):
+    """The root of the form's family with the same f and signs: sigma_1 of
+    the fundamental triple, up to coordinate order."""
+    if isinstance(form, ZeroForm):
+        return ctx.make_root(form.f, form.sign, 1, "zero")
+    return ctx.make_root(form.f, form.a, form.sign, "constant")
+
+
+@st.composite
+def solutions(draw):
+    """Sorted solutions over F_13: a fundamental triple grown by up to three
+    branching moves, so both fundamental and non-fundamental ones."""
+    ctx, form = draw(fundamental_forms())
+    node = ctx.make_fundamental(form)
+    for branch in draw(st.lists(st.sampled_from([1, 2]), max_size=3)):
+        node = sort_triple(ctx.apply_sigma(node, branch))[0]
+    return node
+
+
+@st.composite
+def any_triples(draw):
+    """Triples over F_13 of coordinates of degree -inf..3, not all constant;
+    almost none are solutions."""
+    coords = [
+        Polynomial(P13, draw(st.lists(st.integers(0, 12), max_size=4))) for _ in range(3)
+    ]
+    triple = MarkoffTriple(*coords)
+    if triple.height() <= 0:
+        triple = MarkoffTriple(coords[0], coords[1], parse_poly("t", P13))
+    return triple
 
 
 class TestIsSolution:
@@ -73,17 +114,13 @@ class TestGenerators:
         assert flipped == triple_of("(0; 3*t; t)", P5)
         assert CTX_T5.is_solution(flipped)
 
-    def test_involutions(self):
-        rng = random.Random(407)
-        for _ in range(50):
-            triple = MarkoffTriple(
-                random_nonconstant(rng, P13, 3),
-                random_nonconstant(rng, P13, 3),
-                random_nonconstant(rng, P13, 3),
-            )
-            for gen in (Swap(1, 3), Swap(1, 2), DoubleNeg(2, 3), RHO):
-                twice = CTX1.apply_generator(CTX1.apply_generator(triple, gen), gen)
-                assert twice == triple
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(st.tuples(*[nonconstant_polys(P13)] * 3))
+    def test_involutions(self, coords):
+        triple = MarkoffTriple(*coords)
+        for gen in (Swap(1, 3), Swap(1, 2), DoubleNeg(2, 3), RHO):
+            twice = CTX1.apply_generator(CTX1.apply_generator(triple, gen), gen)
+            assert twice == triple
 
     def test_generators_preserve_solutions(self):
         node = triple_of(GOLDEN_TREE[4], P13)
@@ -102,17 +139,17 @@ class TestSigma:
         got = CTX1.apply_sigma(triple_of(GOLDEN_ROOT, P13), 2)
         assert sort_triple(got)[0] == triple_of(GOLDEN_TREE[2], P13)
 
-    def test_sigma_inverse_via_rho(self):
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(fundamental_forms(max_deg=2))
+    def test_sigma_inverse_via_rho(self, ctx_form):
         # swap(1,3) then rho then swap(1,3) undoes sigma_1
-        rng = random.Random(408)
-        for _ in range(30):
-            f = random_nonconstant(rng, P13, 2)
-            node = CTX_T13.make_root(f, 1, 1, "zero")
-            image = CTX_T13.apply_sigma(node, 1)
-            back = CTX_T13.apply_generator(image, Swap(1, 3))
-            back = CTX_T13.apply_generator(back, RHO)
-            back = CTX_T13.apply_generator(back, Swap(1, 3))
-            assert back == node
+        ctx, form = ctx_form
+        node = _root_of(ctx, form)
+        image = ctx.apply_sigma(node, 1)
+        back = ctx.apply_generator(image, Swap(1, 3))
+        back = ctx.apply_generator(back, RHO)
+        back = ctx.apply_generator(back, Swap(1, 3))
+        assert back == node
 
     def test_sigma_grows_height_on_nonfundamental(self):
         node = triple_of(GOLDEN_TREE[1], P13)
@@ -150,10 +187,20 @@ class TestIsFundamental:
         assert is_fundamental(triple_of("(0; 2*t; t)", P5))
         assert not is_fundamental(triple_of(GOLDEN_ROOT, P13))
         assert is_fundamental(triple_of("(2; t+2*i; t)", P13))
+        # unsorted
+        assert is_fundamental(triple_of("(t; 2; t)", P13))
+        assert is_fundamental(triple_of("(2*t; 0; t)", P5))
+        assert not is_fundamental(triple_of("(t^2+2*i*t-2; t; t+2*i)", P13))
 
-    def test_requires_sorted(self):
-        with pytest.raises(NotFundamental):
-            is_fundamental(triple_of("(t; 2; t)", P13))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(solutions(), any_triples()))
+    def test_order_free_and_matches_the_sorted_rule(self, triple):
+        # the same answer on all six orders, and the same answer as
+        # deg y == deg z on the degree-sorted triple
+        sorted_triple = sort_triple(triple)[0]
+        expected = sorted_triple.y.degree == sorted_triple.z.degree
+        for order in permutations(triple.coords):
+            assert is_fundamental(MarkoffTriple(*order)) == expected
 
 
 class TestPredecessor:
@@ -255,19 +302,13 @@ class TestClassifyFundamental:
         with pytest.raises(NotFundamental):
             CTX1.classify_fundamental(triple_of(GOLDEN_ROOT, P13))
 
-    def test_roundtrip_with_make_fundamental(self):
-        rng = random.Random(410)
-        for ctx, families in ((CTX_T13, ("zero",)), (CTX1, ("zero", "constant"))):
-            for _ in range(50):
-                f = random_nonconstant(rng, P13, 3)
-                family = rng.choice(families)
-                if family == "zero":
-                    form = ZeroForm(f=f, sign=rng.choice((1, -1)))
-                else:
-                    form = ConstantForm(f=f, a=rng.choice((1, -1)), sign=rng.choice((1, -1)))
-                fund = ctx.make_fundamental(form)
-                assert ctx.is_solution(fund)
-                assert ctx.classify_fundamental(fund) == form
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(fundamental_forms())
+    def test_roundtrip_with_make_fundamental(self, ctx_form):
+        ctx, form = ctx_form
+        fund = ctx.make_fundamental(form)
+        assert ctx.is_solution(fund)
+        assert ctx.classify_fundamental(fund) == form
 
 
 class TestMakeFundamental:
@@ -318,15 +359,12 @@ class TestMakeRoot:
         root = CTX1.make_root(parse_poly("t", P13), 1, 1, "constant")
         assert root == triple_of(GOLDEN_ROOT, P13)
 
-    def test_sigma1_of_fundamental_matches_root(self):
-        rng = random.Random(411)
-        for _ in range(100):
-            f = random_nonconstant(rng, P13, 3)
-            sign = rng.choice((1, -1))
-            fund = CTX_T13.make_fundamental(ZeroForm(f=f, sign=sign))
-            via_sigma = sort_triple(CTX_T13.apply_sigma(fund, 1))[0]
-            direct = sort_triple(CTX_T13.make_root(f, sign, 1, "zero"))[0]
-            assert via_sigma.canonical_key() == direct.canonical_key()
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(fundamental_forms())
+    def test_sigma1_of_fundamental_matches_root(self, ctx_form):
+        ctx, form = ctx_form
+        via_sigma = ctx.apply_sigma(ctx.make_fundamental(form), 1)
+        assert via_sigma.canonical_key() == _root_of(ctx, form).canonical_key()
 
     def test_zero_vs_fundamental_orbit_equivalence(self):
         # (f, if, 0) and (0, if, f) are linked by an explicit transposition
@@ -377,16 +415,15 @@ class TestGenerateTree:
 
 
 class TestStructuralInvariants:
-    def test_fundamental_signatures(self):
-        # sorted fundamental triples have signature (0, n, n) or (-inf, n, n)
-        rng = random.Random(412)
-        for _ in range(50):
-            f = random_nonconstant(rng, P13, 4)
-            n = f.degree
-            zero = CTX_T13.make_fundamental(ZeroForm(f=f, sign=rng.choice((1, -1))))
-            assert zero.signature() == (NEG_INF, n, n)
-            const = CTX1.make_fundamental(ConstantForm(f=f, a=1, sign=1))
-            assert const.signature() == (0, n, n)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(fundamental_forms(max_deg=4))
+    def test_fundamental_signatures(self, ctx_form):
+        # sorted fundamental triples have signature (-inf, n, n) (zero family)
+        # or (0, n, n) (constant family)
+        ctx, form = ctx_form
+        n = form.f.degree
+        low = NEG_INF if isinstance(form, ZeroForm) else 0
+        assert ctx.make_fundamental(form).signature() == (low, n, n)
 
     def test_sigma_on_fundamental(self):
         # sigma_2 keeps x=0 fundamentals fundamental at the same height;
