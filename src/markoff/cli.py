@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: verify, tree, descend, euclid, count signatures, count
-solutions.  All outputs are JSON unless --format says otherwise.  Exit
+solutions.  All outputs are JSON unless --format says otherwise.  JSON has
+the layout of json.dumps(..., indent=2) and is written to stdout piece by
+piece as the value is walked, so a large tree is never held as one string;
+counts check their digit caps before anything is written.  Exit
 codes: 0 success, 1 failed verification, 2 usage or parse error, 3 budget
 exceeded.  --budget bounds the tree depth (tree), the layer index (euclid)
 and the candidate pairs of the --brute enumeration (count solutions).
@@ -65,7 +68,41 @@ def _signature_json(triple: MarkoffTriple) -> list:
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    """Print obj as indent-2 JSON, a newline after it, piece by piece, so
+    that the document is never held as one string."""
+    write = sys.stdout.write
+    _write_json(obj, "\n", write)
+    write("\n")
+
+
+def _write_json(value, pad, write):
+    # pad is a newline and the indent of the line that value starts on
+    kind = type(value)
+    if kind is int:
+        write(str(value))
+    elif kind is not dict and kind is not list:
+        write(json.dumps(value))
+    elif not value:
+        write("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            write(sep + json.dumps(key) + ": ")
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(pad + "}")
+    else:
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:  # a coefficient list: one piece
+            write("[" + inner + ("," + inner).join(map(str, value)) + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(pad + "]")
 
 
 # ----------------------------------------------------------------------

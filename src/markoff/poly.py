@@ -12,7 +12,8 @@ i = sqrt(-1)) round-trip polynomials through text.  The parser cuts the text
 into tokens (runs of ASCII digits, single non-blank characters) and reads
 them by recursive descent into values t^shift * coeffs, so `t^k` costs one
 shift; each sum is collected into one coefficient list and reduced mod p
-once, so a rendered degree-d polynomial parses in time linear in d.  It
+once, so a rendered degree-d polynomial parses in time linear in d.  Tokens
+are held without their positions; an error finds its position again.  It
 refuses any power or product of degree above MAX_PARSE_DEGREE (a bound on
 each term, not on the number of terms in a sum).  The renderer works out the
 signed factor of each distinct coefficient once per call and writes every
@@ -306,9 +307,9 @@ def parse_poly(text: str, modulus: PrimeModulus) -> Polynomial:
     """
     parser = _Parser(text, modulus)
     _, coeffs = parser.expr()
-    pos, token = parser.tokens[parser.k]
+    token = parser.tokens[parser.k]
     if token:
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        raise ParseError(f"unexpected character {token[0]!r}", parser.position(parser.k))
     return Polynomial._make(modulus, coeffs)
 
 
@@ -317,21 +318,29 @@ _TOKEN = re.compile(r"[0-9]+|\S")
 
 
 class _Parser:
-    """Recursive descent over the (position, token) list of the text, closed
-    by the end token (len(text), "").  A value (shift, coeffs) stands for
-    t^shift times the polynomial with coefficient tuple coeffs; a sum is
-    collected term by term and reduced once."""
+    """Recursive descent over the token list of the text, closed by the end
+    token "".  A value (shift, coeffs) stands for t^shift times the
+    polynomial with coefficient tuple coeffs; a sum is collected term by term
+    and reduced once.  Tokens are read by index; an error finds the character
+    position of its token again from the text."""
 
     def __init__(self, text, modulus):
-        self.tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(text)]
-        self.tokens.append((len(text), ""))
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]
         self.k = 0
         self.modulus = modulus
+
+    def position(self, k):
+        """Character position of token k; the end token's is len(text)."""
+        for j, m in enumerate(_TOKEN.finditer(self.text)):
+            if j == k:
+                return m.start()
+        return len(self.text)
 
     def expr(self):
         terms = []
         while True:
-            token = self.tokens[self.k][1]
+            token = self.tokens[self.k]
             if token in ("+", "-"):
                 self.k += 1
             elif terms:
@@ -349,9 +358,9 @@ class _Parser:
         return 0, tuple(acc)
 
     def term(self):
-        start = self.tokens[self.k][0]
+        start = self.k
         shift, coeffs = self.power()
-        while self.tokens[self.k][1] == "*":
+        while self.tokens[self.k] == "*":
             self.k += 1
             s, c = self.power()
             if coeffs and c:
@@ -360,43 +369,47 @@ class _Parser:
         return shift, coeffs
 
     def power(self):
-        start = self.tokens[self.k][0]
+        start = self.k
         shift, coeffs = self.atom()
-        while self.tokens[self.k][1] == "^":
-            pos, token = self.tokens[self.k + 1]
+        while self.tokens[self.k] == "^":
+            token = self.tokens[self.k + 1]
             if not (token.isascii() and token.isdigit()):
-                raise ParseError("expected exponent", pos)
+                raise ParseError("expected exponent", self.position(self.k + 1))
+            exponent = self.integer(token, self.k + 1)
             self.k += 2
-            k = self.integer(token, pos)
             if coeffs:
-                self.cap(k * (shift + len(coeffs) - 1), start)
+                self.cap(exponent * (shift + len(coeffs) - 1), start)
             if len(coeffs) == 1:
-                coeffs = (pow(coeffs[0], k, self.modulus.p),)
+                coeffs = (pow(coeffs[0], exponent, self.modulus.p),)
             elif coeffs:
-                coeffs = (Polynomial._make(self.modulus, coeffs) ** k).coeffs
-            elif k == 0:
+                coeffs = (Polynomial._make(self.modulus, coeffs) ** exponent).coeffs
+            elif exponent == 0:
                 coeffs = (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
-            shift *= k
+            shift *= exponent
         return shift, coeffs
 
-    def integer(self, token, pos):
+    def integer(self, token, k):
         try:
             return int(token)
         except ValueError:  # a run of ASCII digits fails only the int-string limit
-            raise ParseError(f"integer literal of {len(token)} digits is too long", pos) from None
+            raise ParseError(
+                f"integer literal of {len(token)} digits is too long", self.position(k)
+            ) from None
 
     def cap(self, degree, start):
         if degree > MAX_PARSE_DEGREE:
-            raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
+            raise BudgetExceeded(
+                f"term degree (position {self.position(start)})", degree, MAX_PARSE_DEGREE
+            )
 
     def atom(self):
-        pos, token = self.tokens[self.k]
+        k = self.k
+        token = self.tokens[k]
         self.k += 1
         if token == "(":
             value = self.expr()
-            pos, token = self.tokens[self.k]
-            if token != ")":
-                raise ParseError("expected ')'", pos)
+            if self.tokens[self.k] != ")":
+                raise ParseError("expected ')'", self.position(self.k))
             self.k += 1
             return value
         if token == "t":
@@ -404,14 +417,15 @@ class _Parser:
         if token == "i":
             i = sqrt_minus_one(self.modulus)
             if i is None:
+                p = self.modulus.p
                 raise IUnavailable(
-                    f"'i' at position {pos}: -1 has no square root mod {self.modulus.p}"
+                    f"'i' at position {self.position(k)}: -1 has no square root mod {p}"
                 )
             return 0, (i,)
         if token.isascii() and token.isdigit():
-            c = self.integer(token, pos) % self.modulus.p
+            c = self.integer(token, k) % self.modulus.p
             return 0, (c,) if c else ()
-        raise ParseError("expected integer, 't', 'i' or '('", pos)
+        raise ParseError("expected integer, 't', 'i' or '('", self.position(k))
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,13 @@ import math
 import re
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from markoff import counting
 from markoff.euclid import EuclidTriple, TreeId, on_unit_tree, root
-from markoff.errors import IUnavailable
+from markoff.errors import BudgetExceeded, IUnavailable, ParseError
 from markoff.field import PrimeModulus, sqrt_minus_one
-from markoff.poly import Polynomial, parse_poly
+from markoff.poly import MAX_PARSE_DEGREE, Polynomial, _mul, parse_poly
 from markoff.triples import MarkoffContext, MarkoffTriple
 
 P5 = PrimeModulus(5)
@@ -153,10 +155,133 @@ def render_by_candidates(f, style="plain"):
     return "".join(parts)
 
 
-def random_nonconstant(rng, mod, max_deg):
-    deg = rng.randint(1, max_deg)
-    coeffs = [rng.randrange(mod.p) for _ in range(deg)] + [rng.randrange(1, mod.p)]
-    return Polynomial(mod, coeffs)
+def parse_by_positions(text, modulus):
+    """Reference parser, the `poly.parse_poly` that stored a (position, token)
+    pair for every token before it kept token indices and found a position
+    again only for an error."""
+    parser = _PositionParser(text, modulus)
+    _, coeffs = parser.expr()
+    pos, token = parser.tokens[parser.k]
+    if token:
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return Polynomial._make(modulus, coeffs)
+
+
+# the reference parser's own copy of the token pattern
+_POSITION_TOKEN = re.compile(r"[0-9]+|\S")
+
+
+class _PositionParser:
+    """Recursive descent over the (position, token) list of the text, closed
+    by the end token (len(text), "").  A value (shift, coeffs) stands for
+    t^shift times the polynomial with coefficient tuple coeffs; a sum is
+    collected term by term and reduced once."""
+
+    def __init__(self, text, modulus):
+        self.tokens = [(m.start(), m.group()) for m in _POSITION_TOKEN.finditer(text)]
+        self.tokens.append((len(text), ""))
+        self.k = 0
+        self.modulus = modulus
+
+    def expr(self):
+        terms = []
+        while True:
+            token = self.tokens[self.k][1]
+            if token in ("+", "-"):
+                self.k += 1
+            elif terms:
+                break
+            terms.append((-1 if token == "-" else 1, *self.term()))
+        # a zero term may carry any shift, such as the 10^9 of (0*t)^1000000000
+        acc = [0] * max((shift + len(c) for _, shift, c in terms if c), default=0)
+        for sign, shift, c in terms:
+            for j, v in enumerate(c, shift):
+                acc[j] += sign * v
+        p = self.modulus.p
+        acc = [v % p for v in acc]
+        while acc and acc[-1] == 0:
+            acc.pop()
+        return 0, tuple(acc)
+
+    def term(self):
+        start = self.tokens[self.k][0]
+        shift, coeffs = self.power()
+        while self.tokens[self.k][1] == "*":
+            self.k += 1
+            s, c = self.power()
+            if coeffs and c:
+                self.cap(shift + len(coeffs) + s + len(c) - 2, start)
+            shift, coeffs = shift + s, _mul(coeffs, c, self.modulus.p)
+        return shift, coeffs
+
+    def power(self):
+        start = self.tokens[self.k][0]
+        shift, coeffs = self.atom()
+        while self.tokens[self.k][1] == "^":
+            pos, token = self.tokens[self.k + 1]
+            if not (token.isascii() and token.isdigit()):
+                raise ParseError("expected exponent", pos)
+            self.k += 2
+            k = self.integer(token, pos)
+            if coeffs:
+                self.cap(k * (shift + len(coeffs) - 1), start)
+            if len(coeffs) == 1:
+                coeffs = (pow(coeffs[0], k, self.modulus.p),)
+            elif coeffs:
+                coeffs = (Polynomial._make(self.modulus, coeffs) ** k).coeffs
+            elif k == 0:
+                coeffs = (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
+            shift *= k
+        return shift, coeffs
+
+    def integer(self, token, pos):
+        try:
+            return int(token)
+        except ValueError:  # a run of ASCII digits fails only the int-string limit
+            raise ParseError(f"integer literal of {len(token)} digits is too long", pos) from None
+
+    def cap(self, degree, start):
+        if degree > MAX_PARSE_DEGREE:
+            raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
+
+    def atom(self):
+        pos, token = self.tokens[self.k]
+        self.k += 1
+        if token == "(":
+            value = self.expr()
+            pos, token = self.tokens[self.k]
+            if token != ")":
+                raise ParseError("expected ')'", pos)
+            self.k += 1
+            return value
+        if token == "t":
+            return 1, (1,)
+        if token == "i":
+            i = sqrt_minus_one(self.modulus)
+            if i is None:
+                raise IUnavailable(
+                    f"'i' at position {pos}: -1 has no square root mod {self.modulus.p}"
+                )
+            return 0, (i,)
+        if token.isascii() and token.isdigit():
+            c = self.integer(token, pos) % self.modulus.p
+            return 0, (c,) if c else ()
+        raise ParseError("expected integer, 't', 'i' or '('", pos)
+
+
+def nonconstant_polys(mod, max_deg):
+    """Strategy: polynomials over mod of degree 1 to max_deg, the base-p
+    digits of one drawn integer (one draw costs hypothesis less than a list)."""
+    p = mod.p
+
+    def from_digits(n):
+        coeffs = []
+        while n:
+            n, c = divmod(n, p)
+            coeffs.append(c)
+        return Polynomial(mod, coeffs)
+
+    return st.integers(p, p ** (max_deg + 1) - 1).map(from_digits)
 
 
 # Golden data: the seven depth-2 tree triples rooted at (t, t+2i, t^2+2it-2)

@@ -6,12 +6,14 @@ census_constants.json at the repository root.
 """
 
 import json
-import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import GOLDEN_ROOT, GOLDEN_TREE, P5, P13, context, random_nonconstant, triple_of
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import GOLDEN_ROOT, GOLDEN_TREE, P5, P13, context, nonconstant_polys, triple_of
 from markoff.cli import main
 from markoff.counting import count_C0, count_C_beta, count_E, cumulative_signatures, divisors
 from markoff.errors import AllConstant
@@ -103,23 +105,29 @@ def test_criterion_6_sandwich_bounds(capsys):
 
 
 def test_criterion_7_descent_correctness(capsys):
-    rng = random.Random(20260809)
     mod = P13
     contexts = {
         "1": context(mod, "1"),
         "t": context(mod, "t"),
         "t^2+1": context(mod, "t^2+1"),
     }
-    for _ in range(500):
-        a_expr = rng.choice(list(contexts))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        st.sampled_from(list(contexts)),
+        nonconstant_polys(mod, 2),
+        st.sampled_from((1, -1)),
+        st.sampled_from((1, -1)),
+        st.sampled_from(("zero", "constant")),
+        st.lists(st.sampled_from((1, 2)), max_size=6),
+    )
+    def descent_replays(a_expr, f, a, sign, family, branches):
         ctx = contexts[a_expr]
-        f = random_nonconstant(rng, mod, 2)
-        a = rng.choice((1, -1))
-        sign = rng.choice((1, -1))
-        family = rng.choice(("zero", "constant")) if ctx.beta == 0 else "zero"
+        if ctx.beta > 0:
+            family = "zero"
         node = sort_triple(ctx.make_root(f, a, sign, family))[0]
-        for _ in range(rng.randint(0, 6)):
-            node = sort_triple(ctx.apply_sigma(node, rng.choice((1, 2))))[0]
+        for branch in branches:
+            node = sort_triple(ctx.apply_sigma(node, branch))[0]
         result = ctx.descend(node)
         form = ctx.classify_fundamental(result.fundamental)
         if ctx.beta > 0:
@@ -127,6 +135,8 @@ def test_criterion_7_descent_correctness(capsys):
         else:
             assert isinstance(form, (ZeroForm, ConstantForm))
         assert ctx.replay_word(result.fundamental, result.word) == node
+
+    descent_replays()
     with capsys.disabled():
         report(7, "500 random descents, replay bit-exact")
 
@@ -240,25 +250,30 @@ def test_criterion_9_census_structure(capsys):
 
 
 def test_criterion_10_identity_suite(capsys):
-    rng = random.Random(987654321)
     mod = P13
     ctx1 = context(mod, "1")
     ctxt = context(mod, "t")
-    for _ in range(1000):
-        ctx = rng.choice((ctx1, ctxt))
-        f = random_nonconstant(rng, mod, 3)
-        a = rng.choice((1, -1))
-        sign = rng.choice((1, -1))
-        if ctx.beta == 0:
-            form = rng.choice(
-                (ZeroForm(f=f, sign=sign), ConstantForm(f=f, a=a, sign=sign))
-            )
-            family = rng.choice(("zero", "constant"))
-        else:
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(
+        st.sampled_from((ctx1, ctxt)),
+        nonconstant_polys(mod, 3),
+        st.sampled_from((1, -1)),
+        st.sampled_from((1, -1)),
+        st.sampled_from(("zero", "constant")),
+        st.sampled_from(("zero", "constant")),
+    )
+    def constructions_solve(ctx, f, a, sign, form_family, family):
+        if ctx.beta > 0:
+            form_family = family = "zero"
+        if form_family == "zero":
             form = ZeroForm(f=f, sign=sign)
-            family = "zero"
+        else:
+            form = ConstantForm(f=f, a=a, sign=sign)
         assert ctx.is_solution(ctx.make_fundamental(form))
         assert ctx.is_solution(ctx.make_root(f, a, sign, family))
+
+    constructions_solve()
     for ctx in (ctx1, ctxt):
         root = ctx.make_root(parse_poly("t", mod), 1, 1, "zero")
         tree = ctx.generate_tree(root, 4)

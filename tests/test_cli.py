@@ -1,10 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import GOLDEN_TREE, P13, count_factorize_calls, triple_of
+from helpers import GOLDEN_ROOT, GOLDEN_TREE, P13, context, count_factorize_calls, triple_of
 from markoff import cli, euclid, oracle
 from markoff.cli import main
 from markoff.counting import MAX_COUNT_DIGITS, MAX_DIVISOR_TERMS, MAX_TRIAL_DIVISOR
@@ -116,6 +120,61 @@ class TestTree:
         monkeypatch.setenv("MARKOFF_BUDGET", "100")
         assert main([*self.ROOT_ARGS, "--depth", "3", "--budget", "2"]) == 3
 
+
+
+# JSON values: every scalar kind, ints past 300 digits, text with quotes,
+# backslashes, control and non-ASCII characters, int lists with bools mixed
+# in, and empty and nested lists and dicts
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.floats(),
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u20ac", "\U0001f600"])),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.dictionaries(st.text(max_size=8), children, max_size=6),
+        st.lists(st.one_of(st.integers(), st.integers(-(10**300), 10**300), st.booleans())),
+    ),
+    max_leaves=20,
+)
+
+
+class RecordingStdout:
+    """A stdout that keeps every piece written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+class TestEmit:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(json_values)
+    def test_layout_of_indented_json_dumps(self, value):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(value)
+        assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+    def test_tree_is_written_piece_by_piece(self):
+        stdout = RecordingStdout()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*TestTree.ROOT_ARGS, "--depth", "7", "--format", "json"])
+        assert code == 0
+        ctx = context(P13, "1")
+        tree = ctx.generate_tree(triple_of(GOLDEN_ROOT, P13), 7)
+        out = "".join(stdout.writes)
+        assert out == json.dumps(tree.to_json(), indent=2) + "\n"
+        assert max(map(len, stdout.writes)) <= len(out) / 100
 
 class TestDescend:
     def test_example(self, capsys):

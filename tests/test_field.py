@@ -1,6 +1,6 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markoff.field import PrimeModulus, _sqrt_int, is_prime, sqrt_minus_one
 
@@ -39,17 +39,17 @@ class TestSqrt:
             if root is not None:
                 assert root * root % 7 == a and root <= 7 - root
 
-    def test_root_is_canonical_and_squares_back(self):
-        rng = random.Random(402)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_root_is_canonical_and_squares_back(self, data):
         for p in (5, 13, 41, 10007, 2**61 - 1):
-            for _ in range(40):
-                a = rng.randrange(p)
-                r = _sqrt_int(a, p)
-                euler = pow(a, (p - 1) // 2, p)
-                assert (r is not None) == (euler in (0, 1))
-                if r is not None:
-                    assert r * r % p == a
-                    assert r <= p - r
+            a = data.draw(st.integers(0, p - 1), label=f"a mod {p}")
+            r = _sqrt_int(a, p)
+            euler = pow(a, (p - 1) // 2, p)
+            assert (r is not None) == (euler in (0, 1))
+            if r is not None:
+                assert r * r % p == a
+                assert r <= p - r
 
 
 class TestSqrtMinusOne:

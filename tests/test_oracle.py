@@ -153,6 +153,15 @@ class TestCensus:
         assert rep.nonfundamental_ratio == Fraction(1, 2)
         assert rep.total == rep.fundamental_count + rep.nonfundamental_count + rep.constant_orbit_count
 
+    def test_ordered_nonfundamental_ratio_is_not_three_halves(self):
+        # 3/2 holds at n <= 3, where the only non-fundamental term is d = 2;
+        # at n = 5 the d = 3 term adds triples of three distinct degrees, six
+        # coordinate orders each against three, and the ratio becomes 7/4
+        obj = census(context(P5, "t"), 5, "ordered").to_json()
+        assert (obj["nonfundamental_count"], obj["nonfundamental_term"]) == (840, 480)
+        assert obj["nonfundamental_ratio"] == "7/4"
+        assert obj["fundamental_ratio"] == "3/2"
+
     def test_split_matches_descent(self):
         ctx = context(P5, "t")
         rep = census(ctx, 2, "ordered")

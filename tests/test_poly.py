@@ -3,10 +3,10 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import budget_fields, render_by_candidates
+from helpers import budget_fields, parse_by_positions, render_by_candidates
 import markoff.oracle
 import markoff.poly
 from markoff.errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
@@ -55,6 +55,25 @@ def poly_of_degree(rng, mod, degree):
 def small_polys(mod):
     """Polynomials of degree -1..5 with any residues as coefficients."""
     return st.lists(st.integers(0, mod.p - 1), max_size=6).map(lambda c: Polynomial(mod, c))
+
+
+# Texts over the parser's alphabet: its single characters, digit runs up to
+# exponents far over the degree cap, blanks, and one stray character (an
+# Arabic-Indic digit, which is a digit but not an ASCII one).
+parser_inputs = st.lists(
+    st.one_of(
+        st.sampled_from(list("ti+-*^() ") + ["\u0663"]),
+        st.integers(0, 10**9).map(str),
+    ),
+    max_size=25,
+).map("".join)
+
+
+def parse_outcome(parse, text, mod):
+    try:
+        return parse(text, mod)
+    except (ParseError, IUnavailable, BudgetExceeded) as err:
+        return type(err), str(err), getattr(err, "position", None)
 
 
 class TestStructure:
@@ -381,6 +400,18 @@ class TestParser:
     def test_degree_at_the_cap_parses(self):
         assert parse_poly(f"t^{MAX_PARSE_DEGREE}", P13).degree == MAX_PARSE_DEGREE
         assert parse_poly(f"2^{MAX_PARSE_DEGREE + 1}", P13) == poly(P13, pow(2, MAX_PARSE_DEGREE + 1, 13))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(parser_inputs)
+    @example("2 + t*(t+1)^70000")  # the degree cap at a term past position 0
+    @example("1+ (t - 3*i)")
+    def test_matches_position_parser(self, text):
+        # same polynomial, or the same error at the same position; at p = 7
+        # every 'i' is an error
+        for mod in (P13, P7):
+            assert parse_outcome(parse_poly, text, mod) == parse_outcome(
+                parse_by_positions, text, mod
+            ), text
 
 
 class TestRenderer:
