@@ -6,12 +6,13 @@ the layout of json.dumps(..., indent=2) and is written to stdout piece by
 piece as the value is walked, so a large tree is never held as one string;
 counts check their digit caps before anything is written.  Exit
 codes: 0 success, 1 failed verification, 2 usage or parse error, 3 budget
-exceeded.  --budget bounds the tree depth (tree), the layer index (euclid)
-and the candidate pairs of the --brute enumeration (count solutions).
-Fixed caps also end with exit 3: a power or product in a polynomial
-expression above the parser's degree cap, a count with more digits than
-can be printed, and a factorization needing trial divisors above its cap
-or with more divisors than the divisor-terms cap.
+exceeded.  Fixed caps, each checked before the work it bounds starts, end
+with exit 3: a tree depth above triples.MAX_TREE_DEPTH, a euclid depth
+above euclid.MAX_LAYER, more candidate pairs for --brute than
+oracle.MAX_CANDIDATE_PAIRS, a power or product in a polynomial expression
+above the parser's degree cap, a count with more digits than can be
+printed, and a factorization needing trial divisors above its cap or with
+more divisors than the divisor-terms cap.
 
 There is one parser per process: `build_parser` builds it on the first
 call of `main` and every later call reuses it.  Nothing mutates it, and
@@ -29,16 +30,9 @@ from . import euclid as euclid_mod
 from .counting import C_A_from_C_beta, count_C_beta, count_finite_field, cumulative_signatures
 from .errors import BudgetExceeded, MarkoffError, ParseError
 from .field import PrimeModulus, sqrt_minus_one
-from .oracle import DEFAULT_PAIR_BUDGET, census, enumerate_solutions, write_solutions_jsonl
+from .oracle import CONVENTIONS, census, enumerate_solutions, write_solutions_jsonl
 from .poly import NEG_INF, parse_poly
-from .triples import (
-    DEFAULT_TREE_DEPTH_BUDGET,
-    ConstantForm,
-    MarkoffContext,
-    MarkoffTriple,
-    ZeroForm,
-    is_fundamental,
-)
+from .triples import ConstantForm, MarkoffContext, MarkoffTriple, ZeroForm, is_fundamental
 
 
 def _context(args, prime: int) -> MarkoffContext:
@@ -131,7 +125,7 @@ def cmd_verify(args) -> int:
 def cmd_tree(args) -> int:
     ctx = _context(args, args.p)
     root = _parse_triple(args.root, ctx.p)
-    tree = ctx.generate_tree(root, args.depth, args.budget)
+    tree = ctx.generate_tree(root, args.depth)
     style = _style(ctx.p)
     if args.format == "json":
         _emit(tree.to_json())
@@ -175,12 +169,10 @@ def cmd_descend(args) -> int:
 def cmd_euclid(args) -> int:
     if args.depth < 0:
         raise ValueError(f"--depth must be non-negative, got {args.depth}")
-    if args.depth > args.budget:
-        raise BudgetExceeded("layer", args.depth, args.budget)
+    if args.depth > euclid_mod.MAX_LAYER:
+        raise BudgetExceeded("layer", args.depth, euclid_mod.MAX_LAYER)
     tree = euclid_mod.TreeId(args.alpha, args.beta)
-    layers = [
-        sorted(euclid_mod.layer(tree, j, args.budget)) for j in range(args.depth + 1)
-    ]
+    layers = [sorted(euclid_mod.layer(tree, j)) for j in range(args.depth + 1)]
     if args.format == "text":
         for j, triples in enumerate(layers):
             row = " ".join(f"({t.tau1},{t.tau2},{t.tau3})" for t in triples)
@@ -222,7 +214,7 @@ def cmd_count_signatures(args) -> int:
 def cmd_count_solutions(args) -> int:
     ctx = _context(args, args.q)
     if args.brute:
-        solutions = enumerate_solutions(ctx, args.n, args.convention, args.budget)
+        solutions = enumerate_solutions(ctx, args.n, args.convention)
         report = census(ctx, args.n, args.convention, solutions=solutions)
         if args.solutions_out:
             with open(args.solutions_out, "w", encoding="utf-8") as fp:
@@ -262,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--root", required=True, help='root triple as "(x; y; z)"')
     p_tree.add_argument("--depth", type=int, required=True)
     p_tree.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    p_tree.add_argument(
-        "--budget", type=int, default=DEFAULT_TREE_DEPTH_BUDGET, help="largest tree depth"
-    )
     p_tree.set_defaults(func=cmd_tree)
 
     p_descend = sub.add_parser("descend", help="descend a solution to its fundamental triple")
@@ -277,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_euclid.add_argument("--beta", type=int, required=True)
     p_euclid.add_argument("--depth", type=int, required=True)
     p_euclid.add_argument("--format", choices=("json", "text"), default="json")
-    p_euclid.add_argument(
-        "--budget", type=int, default=euclid_mod.DEFAULT_LAYER_BUDGET, help="largest depth"
-    )
     p_euclid.set_defaults(func=cmd_euclid)
 
     p_count = sub.add_parser("count", help="closed-form and brute-force counts")
@@ -297,16 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--A", required=True, help="parameter A as a polynomial expression")
     p_sol.add_argument("--n", type=int, required=True, help="exact height")
     p_sol.add_argument("--brute", action="store_true", help="add brute-force census")
-    p_sol.add_argument(
-        "--convention", choices=("ordered", "degree_sorted"), default="degree_sorted"
-    )
+    p_sol.add_argument("--convention", choices=CONVENTIONS, default="degree_sorted")
     p_sol.add_argument(
         "--solutions-out", metavar="PATH",
         help="with --brute: also write the enumerated solutions as JSON-lines",
-    )
-    p_sol.add_argument(
-        "--budget", type=int, default=DEFAULT_PAIR_BUDGET,
-        help="with --brute: most candidate pairs to solve",
     )
     p_sol.set_defaults(func=cmd_count_solutions)
 

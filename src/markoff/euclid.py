@@ -18,7 +18,10 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 
-DEFAULT_LAYER_BUDGET = 20
+# The deepest layer `layer` builds; layer j has up to 2^(j-1) triples, and
+# `markoff euclid --depth 20` (every layer up to 20) takes about 23 s and
+# 272 MB.
+MAX_LAYER = 20
 
 
 class EuclidTriple(NamedTuple):
@@ -51,13 +54,13 @@ def root(tree: TreeId) -> EuclidTriple:
     return EuclidTriple(tree.alpha, tree.alpha, 2 * tree.alpha + tree.beta)
 
 
-def layer(tree: TreeId, j: int, budget: int = DEFAULT_LAYER_BUDGET) -> set[EuclidTriple]:
+def layer(tree: TreeId, j: int) -> set[EuclidTriple]:
     """Set of triples reached after exactly j branchings (deduplicated; the
     two children of the root coincide)."""
     if j < 0:
         raise ValueError("layer index must be non-negative")
-    if j > budget:
-        raise BudgetExceeded("layer", j, budget)
+    if j > MAX_LAYER:
+        raise BudgetExceeded("layer", j, MAX_LAYER)
     current = {root(tree)}
     for _ in range(j):
         current = {

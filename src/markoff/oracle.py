@@ -30,7 +30,11 @@ from .euclid import TreeId, root
 from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
 from .triples import MarkoffContext, MarkoffTriple, is_fundamental
 
-DEFAULT_PAIR_BUDGET = 10**9
+# The most candidate pairs enumerate_solutions solves; each pair gives at most
+# two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about 60 s
+# and 479 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
+MAX_CANDIDATE_PAIRS = 1 << 21
+
 E_ORACLE_MAX_N = 10**4
 C_BETA_ORACLE_MAX_N = 500
 
@@ -60,10 +64,7 @@ def _polys_of_degree(q, d):
 
 
 def enumerate_solutions(
-    ctx: MarkoffContext,
-    max_height: int,
-    convention: str,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    ctx: MarkoffContext, max_height: int, convention: str
 ) -> list[MarkoffTriple]:
     """All solutions with every degree <= max_height, not all constant.
 
@@ -79,12 +80,14 @@ def enumerate_solutions(
         raise ValueError("max_height must be non-negative")
     q = ctx.p.p
     beta = ctx.beta
-    if max_height >= budget.bit_length():
-        # q^(n+1) > 2^n > budget: refuse before building a huge count
-        raise BudgetExceeded("candidate pairs", f"more than {q}^{max_height + 1}", budget)
+    if max_height >= MAX_CANDIDATE_PAIRS.bit_length():
+        # q^(n+1) > 2^n > the cap: refuse before building a huge count
+        raise BudgetExceeded(
+            "candidate pairs", f"more than {q}^{max_height + 1}", MAX_CANDIDATE_PAIRS
+        )
     pairs = pair_count(q, beta, max_height)
-    if pairs > budget:
-        raise BudgetExceeded("candidate pairs", pairs, budget)
+    if pairs > MAX_CANDIDATE_PAIRS:
+        raise BudgetExceeded("candidate pairs", pairs, MAX_CANDIDATE_PAIRS)
 
     # every nonzero polynomial of degree <= n beside its square, by degree
     by_degree = [

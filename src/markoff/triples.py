@@ -25,7 +25,11 @@ from .errors import (
 from .field import PrimeModulus, sqrt_minus_one
 from .poly import Polynomial, render_poly
 
-DEFAULT_TREE_DEPTH_BUDGET = 12
+# The deepest tree generate_tree builds, 2^13 - 1 nodes.  It bounds the node
+# count, not the node size: depth 12 from (t; t+2*i; t^2+2*i*t-2) at p = 13,
+# A = 1 takes about 2 s and 66 MB through the CLI, and a root of higher
+# degree makes every node larger.
+MAX_TREE_DEPTH = 12
 
 
 # ----------------------------------------------------------------------
@@ -348,18 +352,13 @@ class MarkoffContext:
     # ------------------------------------------------------------------
     # trees
 
-    def generate_tree(
-        self,
-        root: MarkoffTriple,
-        depth: int,
-        budget: int = DEFAULT_TREE_DEPTH_BUDGET,
-    ) -> "TreeNode":
+    def generate_tree(self, root: MarkoffTriple, depth: int) -> "TreeNode":
         """Full binary tree of sorted triples under the two branching moves."""
         self.require_solution(root)
         if depth < 0:
             raise ValueError("depth must be non-negative")
-        if depth > budget:
-            raise BudgetExceeded("tree depth", depth, budget)
+        if depth > MAX_TREE_DEPTH:
+            raise BudgetExceeded("tree depth", depth, MAX_TREE_DEPTH)
         sorted_root, _ = sort_triple(root)
         return self._grow(sorted_root, None, depth)
 

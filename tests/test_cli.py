@@ -107,18 +107,18 @@ class TestTree:
         assert "(t, t+2*i, t^2+2*i*t-2)" in out
 
     def test_budget_exits_three(self, capsys):
-        code = main([*self.ROOT_ARGS, "--depth", "3", "--budget", "2"])
+        code = main([*self.ROOT_ARGS, "--depth", "13"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err == "error: tree depth 3 exceeds budget 2\n"
+        assert captured.err == "error: tree depth 13 exceeds budget 12\n"
 
     def test_env_does_not_change_the_budget(self, capsys, monkeypatch):
-        argv = (*self.ROOT_ARGS, "--depth", "2", "--budget", "10")
+        argv = (*self.ROOT_ARGS, "--depth", "2")
         expected = run(capsys, *argv)
         monkeypatch.setenv("MARKOFF_BUDGET", "1")
         assert run(capsys, *argv) == expected and expected[0] == 0
         monkeypatch.setenv("MARKOFF_BUDGET", "100")
-        assert main([*self.ROOT_ARGS, "--depth", "3", "--budget", "2"]) == 3
+        assert main([*self.ROOT_ARGS, "--depth", "13"]) == 3
 
 
 
@@ -209,19 +209,23 @@ class TestEuclid:
         assert code == 0
         assert out.splitlines() == ["L0: (1,1,2)", "L1: (1,2,3)", "L2: (1,3,4) (2,3,5)"]
 
-    def test_budget_exits_three(self, capsys):
-        code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "9", "--budget", "8"])
+    def test_budget_exits_three(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(euclid, "layer", lambda *args: built.append(args))
+        code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "21"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and built == []
+        assert captured.err == "error: layer 21 exceeds budget 20\n"
+
+    def test_cap_is_read_when_called(self, capsys, monkeypatch):
+        monkeypatch.setattr(euclid, "MAX_LAYER", 8)
+        code, out = run(capsys, "euclid", "--alpha", "1", "--beta", "0",
+                        "--depth", "8", "--format", "text")
+        assert code == 0 and len(out.splitlines()) == 9
+        code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "9"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: layer 9 exceeds budget 8\n"
-
-    def test_default_budget_refuses_before_any_layer(self, capsys, monkeypatch):
-        built = []
-        monkeypatch.setattr(euclid, "layer", lambda *args: built.append(args))
-        code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "25"])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == "" and built == []
-        assert captured.err == f"error: layer 25 exceeds budget {euclid.DEFAULT_LAYER_BUDGET}\n"
 
     def test_negative_depth_exits_two(self, capsys):
         code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "-1"])
@@ -330,12 +334,13 @@ class TestCountSolutions:
         code = main(["count", "solutions", "--q", "5", "--A", "1", "--n", "1"])
         assert code == 2
 
-    def test_budget_exits_three(self, capsys):
-        code = main(["count", "solutions", "--q", "5", "--A", "t", "--n", "3",
-                     "--brute", "--budget", "1000"])
+    def test_budget_exits_three(self, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(oracle, "_sqrt_coeffs", lambda *args: solved.append(args))
+        code = main(["count", "solutions", "--q", "5", "--A", "t", "--n", "8", "--brute"])
         captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert captured.err == "error: candidate pairs 1521 exceeds budget 1000\n"
+        assert code == 3 and captured.out == "" and solved == []
+        assert captured.err == "error: candidate pairs 8138021 exceeds budget 2097152\n"
 
     @pytest.mark.parametrize("n, digits", [(10**4, 6992), (10**11, 69897000436)])
     def test_unprintable_count_exits_three(self, capsys, n, digits):
@@ -415,6 +420,11 @@ class TestOptions:
         [
             ["verify", "--p", "13", "--A", "1", "--triple", "(0; 0; 0)"],
             ["descend", "--p", "13", "--A", "1", "--triple", "(2; t; t+2*i)"],
+            ["tree", "--p", "13", "--A", "1", "--root", GOLDEN_ROOT, "--depth", "1"],
+            ["euclid", "--alpha", "1", "--beta", "0", "--depth", "1"],
+            ["count", "signatures", "--beta", "1", "--n", "3"],
+            ["count", "solutions", "--q", "5", "--A", "t", "--n", "1"],
+            ["count", "solutions", "--q", "5", "--A", "t", "--n", "1", "--brute"],
         ],
     )
     def test_budget_is_a_usage_error(self, capsys, argv):
@@ -458,7 +468,7 @@ MIXED_CALLS = (
      "--format", "text"],
     ["count", "signatures", "--beta", "1", "--n", "x"],
     ["descend", "--p", "13", "--A", "1", "--triple", GOLDEN_TREE[1]],
-    ["euclid", "--alpha", "1", "--beta", "0", "--depth", "9", "--budget", "8"],
+    ["euclid", "--alpha", "1", "--beta", "0", "--depth", "21"],
     ["euclid", "--alpha", "2", "--beta", "1", "--depth", "2", "--format", "text"],
     ["count", "solutions", "--q", "5", "--A", "t", "--n", "2", "--brute"],
     ["count", "solutions", "--q", "13", "--A", "t^2+1", "--n", "6"],

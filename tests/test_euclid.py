@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import budget_fields, membership_by_divisors
+from markoff import euclid
 from markoff.errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 from markoff.euclid import (
     EuclidTriple,
@@ -64,10 +65,15 @@ class TestLayers:
         for j in range(2, 9):
             assert len(layer(tree, j)) == 2 ** (j - 1)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         with pytest.raises(BudgetExceeded) as err:
-            layer(TreeId(1, 0), 25, budget=24)
-        assert budget_fields(err) == ("layer", 25, 24)
+            layer(TreeId(1, 0), 21)
+        assert budget_fields(err) == ("layer", 21, 20)
+        monkeypatch.setattr(euclid, "MAX_LAYER", 8)
+        assert len(layer(TreeId(1, 0), 8)) == 2**7
+        with pytest.raises(BudgetExceeded) as err:
+            layer(TreeId(1, 0), 9)
+        assert budget_fields(err) == ("layer", 9, 8)
 
 
 class TestMapUnit:

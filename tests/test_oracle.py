@@ -84,21 +84,27 @@ class TestEnumerate:
         ctx = context(P7, "t")
         assert enumerate_solutions(ctx, 2, "ordered") == []
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         ctx = context(P5, "t")
         with pytest.raises(BudgetExceeded) as err:
-            enumerate_solutions(ctx, 3, "ordered", budget=10**3)
-        assert budget_fields(err) == ("candidate pairs", 1521, 10**3)
-        assert len(enumerate_solutions(ctx, 3, "degree_sorted", budget=1521)) == 1304
+            enumerate_solutions(ctx, 8, "ordered")
+        assert budget_fields(err) == ("candidate pairs", 8138021, 2**21)
+        monkeypatch.setattr(oracle, "MAX_CANDIDATE_PAIRS", 10**3)
         with pytest.raises(BudgetExceeded) as err:
-            enumerate_solutions(ctx, 3, "degree_sorted", budget=1520)
+            enumerate_solutions(ctx, 3, "ordered")
+        assert budget_fields(err) == ("candidate pairs", 1521, 10**3)
+        monkeypatch.setattr(oracle, "MAX_CANDIDATE_PAIRS", 1521)
+        assert len(enumerate_solutions(ctx, 3, "degree_sorted")) == 1304
+        monkeypatch.setattr(oracle, "MAX_CANDIDATE_PAIRS", 1520)
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_solutions(ctx, 3, "degree_sorted")
         assert budget_fields(err) == ("candidate pairs", 1521, 1520)
         assert str(err.value) == "candidate pairs 1521 exceeds budget 1520"
 
     def test_budget_refuses_huge_height_at_once(self):
         with pytest.raises(BudgetExceeded) as err:
             enumerate_solutions(context(P5, "t"), 10**5, "degree_sorted")
-        assert budget_fields(err) == ("candidate pairs", "more than 5^100001", 10**9)
+        assert budget_fields(err) == ("candidate pairs", "more than 5^100001", 2**21)
 
     @pytest.mark.parametrize(
         "q, beta, n, pairs",

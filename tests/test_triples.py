@@ -14,6 +14,7 @@ from helpers import (
     context,
     triple_of,
 )
+from markoff import triples
 from markoff.errors import (
     AllConstant,
     BudgetExceeded,
@@ -396,9 +397,15 @@ class TestGenerateTree:
         assert all(CTX_T13.is_solution(node.triple) for node in nodes)
         assert all(node.triple.is_sorted() for node in nodes)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        root = triple_of(GOLDEN_ROOT, P13)
         with pytest.raises(BudgetExceeded) as err:
-            CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 5, budget=4)
+            CTX1.generate_tree(root, 13)
+        assert budget_fields(err) == ("tree depth", 13, 12)
+        monkeypatch.setattr(triples, "MAX_TREE_DEPTH", 4)
+        assert len(list(CTX1.generate_tree(root, 4).walk())) == 2**5 - 1
+        with pytest.raises(BudgetExceeded) as err:
+            CTX1.generate_tree(root, 5)
         assert budget_fields(err) == ("tree depth", 5, 4)
 
     def test_non_solution_rejected(self):
