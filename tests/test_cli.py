@@ -217,6 +217,14 @@ class TestEuclid:
         assert code == 3 and captured.out == "" and built == []
         assert captured.err == "error: layer 21 exceeds budget 20\n"
 
+    def test_default_budget_refuses_before_any_layer(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(euclid, "layer", lambda *args: built.append(args))
+        code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "25"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and built == []
+        assert captured.err == f"error: layer 25 exceeds budget {euclid.MAX_LAYER}\n"
+
     def test_cap_is_read_when_called(self, capsys, monkeypatch):
         monkeypatch.setattr(euclid, "MAX_LAYER", 8)
         code, out = run(capsys, "euclid", "--alpha", "1", "--beta", "0",
