@@ -212,6 +212,8 @@ def cmd_count_signatures(args) -> int:
 
 
 def cmd_count_solutions(args) -> int:
+    if args.solutions_out and not args.brute:
+        raise ValueError("--solutions-out needs --brute")
     ctx = _context(args, args.q)
     if args.brute:
         solutions = enumerate_solutions(ctx, args.n, args.convention)

@@ -63,14 +63,12 @@ class PrimeModulus:
 
 def _sqrt_int(a: int, p: int) -> int | None:
     """Canonical square root of a mod p by Tonelli-Shanks: min(r, p - r),
-    or None when a is a non-residue."""
+    or None when a is a non-residue.  At p = 3 (mod 4), s = 1 and t = 1,
+    so r = a^((p+1)/4) is returned without entering the loop."""
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     # write p - 1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:

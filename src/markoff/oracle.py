@@ -167,10 +167,6 @@ class CensusReport:
     fundamental_ratio: Fraction | None
     nonfundamental_ratio: Fraction | None
 
-    @property
-    def formula_value(self):
-        return self.formula.value if self.formula is not None else None
-
     def to_json(self) -> dict:
         return {
             "q": self.q,

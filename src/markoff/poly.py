@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
 from .field import PrimeModulus, _sqrt_int, sqrt_minus_one
@@ -118,10 +119,12 @@ def _smul(a, s, p):
     return tuple([v * s % p for v in a])
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polynomial:
-    """Immutable dense polynomial over F_p."""
+    """Immutable dense polynomial over F_p, equal and hashed by its fields."""
 
-    __slots__ = ("modulus", "coeffs")
+    modulus: PrimeModulus
+    coeffs: tuple
 
     def __init__(self, modulus: PrimeModulus, coeffs=()):
         p = modulus.p
@@ -138,9 +141,6 @@ class Polynomial:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "coeffs", coeffs)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # ------------------------------------------------------------------
     # constructors
@@ -224,16 +224,6 @@ class Polynomial:
             if n:
                 base = base * base
         return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.modulus.p, self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -9,6 +9,7 @@ reverse inverts it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -114,7 +115,13 @@ class MarkoffTriple:
         )
 
     def render(self, style: str = "plain") -> str:
-        return "(" + ", ".join(render_poly(c, style) for c in self.coords) + ")"
+        return "".join(_label(self, lambda c: render_poly(c, style)))
+
+
+def _label(triple: MarkoffTriple, render) -> tuple:
+    """The text (x, y, z) of a triple in pieces, each coordinate through render."""
+    x, y, z = map(render, triple.coords)
+    return ("(", x, ", ", y, ", ", z, ")")
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +288,10 @@ class MarkoffContext:
         self.require_solution(triple)
         if triple.height() <= 0:
             raise AllConstant("descent needs a triple of positive height")
-        # solutions are closed under the moves, so validate once at entry
-        # and skip predecessor's per-step checks
+        # solutions are closed under the moves, so validate once at entry and
+        # skip predecessor's per-step checks.  The check also ends the loop:
+        # on the non-solution (1, t, t^2) at p = 13, A = 1, rho would cycle
+        # t^2 -> t - t^2 -> t^2 forever.
         current, word = sort_triple(triple)
         parts = list(word)
         while not is_fundamental(current):
@@ -315,39 +324,34 @@ class MarkoffContext:
             zero = Polynomial.zero(self.p)
             return MarkoffTriple(zero, (i * form.f).scalar_mul(form.sign), form.f)
         if isinstance(form, ConstantForm):
-            x, y = self._constant_family_xy(form.f, form.a, form.sign, i)
+            if self.beta != 0:
+                raise ConstantFormNeedsConstantA(
+                    f"constant family needs deg A = 0, got deg A = {self.beta}"
+                )
+            inv_A = pow(self.A.coeffs[0], self.p.p - 2, self.p.p)
+            x = Polynomial.constant(self.p, 2 * form.a * inv_A)
+            y = form.f.scalar_mul(form.a) + (i * x).scalar_mul(form.sign)
             return MarkoffTriple(x, y, form.f)
         raise TypeError(f"unknown form {form!r}")
 
-    def _constant_family_xy(self, f, a, sign, i):
-        if self.beta != 0:
-            raise ConstantFormNeedsConstantA(
-                f"constant family needs deg A = 0, got deg A = {self.beta}"
-            )
-        inv_A = pow(self.A.coeffs[0], self.p.p - 2, self.p.p)
-        two_a_over_A = Polynomial.constant(self.p, 2 * a * inv_A)
-        x = two_a_over_A
-        y = f.scalar_mul(a) + (i * two_a_over_A).scalar_mul(sign)
-        return x, y
-
     def make_root(self, f: Polynomial, a: int, sign: int = 1, family: str = "zero") -> MarkoffTriple:
-        """Smallest-height non-fundamental triple of a Markoff tree.
+        """Root of a Markoff tree, its smallest-height non-fundamental triple:
+        sigma_1 (A*f*y - x, y, f) of the family's fundamental triple (x, y, f),
+        written (f, y, A*f*y - x).
 
         zero family:     (f, i*a*f, i*a*A*f^2)
         constant family: (f, a*f + sign*2ai/A, A*a*f^2 + sign*2aif - 2a/A)
         """
         if a not in (1, -1) or sign not in (1, -1):
             raise ValueError("a and sign must be +1 or -1")
-        if f.is_constant():
-            raise ValueError("f must be non-constant")
-        i = self.i()
         if family == "zero":
-            iaf = (i * f).scalar_mul(a)
-            return MarkoffTriple(f, iaf, self.A * iaf * f)
-        if family == "constant":
-            x, y = self._constant_family_xy(f, a, sign, i)
-            return MarkoffTriple(f, y, self.A * f * y - x)
-        raise ValueError(f"unknown family {family!r}")
+            form = ZeroForm(f, a)
+        elif family == "constant":
+            form = ConstantForm(f, a, sign)
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        x, y, _ = self.make_fundamental(form).coords
+        return MarkoffTriple(f, y, self.A * f * y - x)
 
     # ------------------------------------------------------------------
     # trees
@@ -399,19 +403,22 @@ class TreeNode:
         }
 
     def to_dot(self, style: str = "plain") -> str:
-        lines = ["digraph markoff_tree {", '  node [shape=box, fontname="monospace"];']
+        """DOT text.  A sigma move keeps two of its parent's coordinates, so
+        each distinct polynomial is rendered once per call, and the labels
+        hold its text by reference until the one join."""
+        parts = ["digraph markoff_tree {\n", '  node [shape=box, fontname="monospace"];\n']
         counter = [0]
+        render = functools.cache(lambda c: render_poly(c, style))
 
         def emit(node):
             idx = counter[0]
             counter[0] += 1
-            label = node.triple.render(style).replace('"', '\\"')
-            lines.append(f'  n{idx} [label="{label}"];')
+            parts.extend((f'  n{idx} [label="', *_label(node.triple, render), '"];\n'))
             for child in node.children:
                 cidx = emit(child)
-                lines.append(f'  n{idx} -> n{cidx} [label="s{child.branch}"];')
+                parts.append(f'  n{idx} -> n{cidx} [label="s{child.branch}"];\n')
             return idx
 
         emit(self)
-        lines.append("}")
-        return "\n".join(lines)
+        parts.append("}")
+        return "".join(parts)

@@ -10,7 +10,7 @@ from markoff import counting
 from markoff.euclid import EuclidTriple, TreeId, on_unit_tree, root
 from markoff.errors import BudgetExceeded, IUnavailable, ParseError
 from markoff.field import PrimeModulus, sqrt_minus_one
-from markoff.poly import MAX_PARSE_DEGREE, Polynomial, _mul, parse_poly
+from markoff.poly import MAX_PARSE_DEGREE, Polynomial, _mul, parse_poly, render_poly
 from markoff.triples import MarkoffContext, MarkoffTriple
 
 P5 = PrimeModulus(5)
@@ -267,6 +267,42 @@ class _PositionParser:
             c = self.integer(token, pos) % self.modulus.p
             return 0, (c,) if c else ()
         raise ParseError("expected integer, 't', 'i' or '('", pos)
+
+
+def root_by_closed_forms(ctx, f, a, sign=1, family="zero"):
+    """Reference tree root, the closed forms `MarkoffContext.make_root` wrote
+    out before it took sigma_1 of `make_fundamental`:
+    zero family (f, i*a*f, i*a*A*f^2), constant family
+    (f, a*f + sign*2ai/A, A*a*f^2 + sign*2aif - 2a/A)."""
+    i = ctx.i()
+    if family == "zero":
+        iaf = (i * f).scalar_mul(a)
+        return MarkoffTriple(f, iaf, ctx.A * iaf * f)
+    p = ctx.p.p
+    two_a_over_A = Polynomial.constant(ctx.p, 2 * a * pow(ctx.A.coeffs[0], p - 2, p))
+    y = f.scalar_mul(a) + (i * two_a_over_A).scalar_mul(sign)
+    return MarkoffTriple(f, y, ctx.A * f * y - two_a_over_A)
+
+
+def dot_by_node(tree, style="plain"):
+    """Reference DOT text, the `TreeNode.to_dot` that rendered every
+    coordinate of every node afresh."""
+    lines = ["digraph markoff_tree {", '  node [shape=box, fontname="monospace"];']
+    nodes = []
+
+    def emit(node):
+        idx = len(nodes)
+        nodes.append(node)
+        label = "(" + ", ".join(render_poly(c, style) for c in node.triple.coords) + ")"
+        lines.append(f'  n{idx} [label="{label}"];')
+        for child in node.children:
+            cidx = emit(child)
+            lines.append(f'  n{idx} -> n{cidx} [label="s{child.branch}"];')
+        return idx
+
+    emit(tree)
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def nonconstant_polys(mod, max_deg):

@@ -408,6 +408,20 @@ class TestCountSolutions:
         assert code == 0 and obj["total"] > 0
         assert len(calls) == 1
 
+    def test_solutions_out_needs_brute(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        for name in ("parse_poly", "count_finite_field", "enumerate_solutions"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        path = tmp_path / "sols.jsonl"
+        code = main([
+            "count", "solutions", "--q", "5", "--A", "t", "--n", "1",
+            "--solutions-out", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --solutions-out needs --brute\n"
+        assert calls == [] and not path.exists()
+
 
 class TestOptions:
     @pytest.mark.parametrize(

@@ -52,6 +52,26 @@ class TestSqrt:
                 assert r <= p - r
 
 
+    @staticmethod
+    def three_mod_four(a, p):
+        """The p = 3 (mod 4) shortcut `_sqrt_int` once took before the
+        general loop: min(r, p - r) with r = a^((p+1)/4), None for a
+        non-residue."""
+        r = pow(a, (p + 1) // 4, p)
+        return min(r, p - r) if r * r % p == a else None
+
+    @pytest.mark.parametrize("p", [7, 11, 19, 23, 31, 43, 47])
+    def test_general_loop_matches_shortcut_exhaustive(self, p):
+        # both classes mod 8 of p = 3 (mod 4): 3 (11, 19, 43) and 7 (the rest)
+        assert all(_sqrt_int(a, p) == self.three_mod_four(a, p) for a in range(p))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 2))
+    def test_general_loop_matches_shortcut_at_2_31_minus_1(self, a):
+        p = 2**31 - 1
+        assert _sqrt_int(a, p) == self.three_mod_four(a, p)
+
+
 class TestSqrtMinusOne:
     def test_examples(self):
         assert sqrt_minus_one(P5) == 2

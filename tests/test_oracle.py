@@ -197,7 +197,7 @@ class TestCensus:
 
     def test_constant_a_census_has_no_formula(self):
         rep = census(context(P13, "1"), 1, "degree_sorted")
-        assert rep.formula is None and rep.formula_value is None
+        assert rep.formula is None
         assert rep.total == rep.fundamental_count + rep.nonfundamental_count + rep.constant_orbit_count
 
     def test_json(self):

@@ -96,6 +96,19 @@ class TestStructure:
         assert Polynomial.from_json(f.to_json()) == f
         assert Polynomial.zero(P5).to_json() == {"p": 5, "coeffs": []}
 
+    @pytest.mark.parametrize("field, value", [("coeffs", (1,)), ("modulus", P7)])
+    def test_fields_cannot_be_assigned(self, field, value):
+        f = poly(P5, 1, 3)
+        with pytest.raises(AttributeError):
+            setattr(f, field, value)
+        assert f.coeffs == (1, 3) and f.modulus == P5
+
+    def test_equal_and_hashed_by_modulus_and_coeffs(self):
+        f = poly(P13, 11, 10, 1)
+        assert f == parse_poly("t^2-3*t-2", P13) and hash(f) == hash(Polynomial(P13, [11, 10, 1, 0]))
+        assert f != poly(P13, 11, 10, 2) and f != poly(P17, 11, 10, 1)
+        assert f != (11, 10, 1) and Polynomial.zero(P5) != Polynomial.zero(P7)
+
 
 class TestArithmetic:
     def test_mul_example(self):

@@ -12,6 +12,8 @@ from helpers import (
     P13,
     budget_fields,
     context,
+    dot_by_node,
+    root_by_closed_forms,
     triple_of,
 )
 from markoff import triples
@@ -282,6 +284,16 @@ class TestDescend:
         with pytest.raises(NotSolution):
             CTX1.descend(triple_of("(t; t; t)", P13))
 
+    def test_non_solution_that_would_cycle(self):
+        # rho then sort maps (1, t, t^2) to (1, t, t - t^2) and back, neither
+        # fundamental: only the entry check keeps the descent from looping
+        node = triple_of("(1; t; t^2)", P13)
+        step, _ = sort_triple(CTX1.apply_generator(node, RHO))
+        assert step == triple_of("(1; t; t-t^2)", P13) and not is_fundamental(step)
+        assert sort_triple(CTX1.apply_generator(step, RHO))[0] == node
+        with pytest.raises(NotSolution):
+            CTX1.descend(node)
+
 
 class TestClassifyFundamental:
     def test_zero_form(self):
@@ -367,6 +379,38 @@ class TestMakeRoot:
         via_sigma = ctx.apply_sigma(ctx.make_fundamental(form), 1)
         assert via_sigma.canonical_key() == _root_of(ctx, form).canonical_key()
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([P5, P13]).flatmap(nonconstant_polys),
+        st.sampled_from(["1", "3", "t", "t^2+1"]),
+        SIGNS,
+        SIGNS,
+        st.booleans(),
+    )
+    def test_matches_closed_forms(self, f, a_expr, a, sign, zero):
+        ctx = context(f.modulus, a_expr)
+        family = "zero" if zero or ctx.beta else "constant"
+        root = ctx.make_root(f, a, sign, family)
+        assert root.coords == root_by_closed_forms(ctx, f, a, sign, family).coords
+
+    def test_errors(self):
+        t5, t7 = parse_poly("t", P5), parse_poly("t", P7)
+        one = Polynomial.constant(P13, 1)
+        cases = [
+            (CTX1, (one, 2, 1, "zero"), ValueError, "a and sign must be +1 or -1"),
+            (CTX1, (one, 1, 1, "zero"), ValueError, "f must be non-constant"),
+            (CTX1, (one, 1, 1, "constant"), ValueError, "f must be non-constant"),
+            (context(P7, "1"), (t7, 1, 1, "zero"), IUnavailable, "-1 has no square root mod 7"),
+            (CTX_T5, (t5, 1, 1, "constant"), ConstantFormNeedsConstantA,
+             "constant family needs deg A = 0, got deg A = 1"),
+            # the family is read before f: a constant f is not reported here
+            (CTX1, (one, 1, 1, "other"), ValueError, "unknown family 'other'"),
+        ]
+        for ctx, args, error, message in cases:
+            with pytest.raises(error) as err:
+                ctx.make_root(*args)
+            assert str(err.value) == message
+
     def test_zero_vs_fundamental_orbit_equivalence(self):
         # (f, if, 0) and (0, if, f) are linked by an explicit transposition
         f = parse_poly("t^2+3*t", P13)
@@ -411,6 +455,21 @@ class TestGenerateTree:
     def test_non_solution_rejected(self):
         with pytest.raises(NotSolution):
             CTX1.generate_tree(triple_of("(1; 1; 1)", P13), 1)
+
+    def test_dot_renders_each_polynomial_once(self, monkeypatch):
+        tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 4)
+        expected = dot_by_node(tree, "with_i")
+        calls = []
+        render_poly = triples.render_poly
+
+        def counted(f, style):
+            calls.append(f)
+            return render_poly(f, style)
+
+        monkeypatch.setattr(triples, "render_poly", counted)
+        assert tree.to_dot("with_i") == expected
+        distinct = {c for node in tree.walk() for c in node.triple.coords}
+        assert len(calls) == len(set(calls)) == len(distinct) < 3 * (2**5 - 1)
 
     def test_json_and_dot(self):
         tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 1)
