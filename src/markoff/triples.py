@@ -10,6 +10,7 @@ reverse inverts it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -404,21 +405,21 @@ class TreeNode:
 
     def to_dot(self, style: str = "plain") -> str:
         """DOT text.  A sigma move keeps two of its parent's coordinates, so
-        each distinct polynomial is rendered once per call, and the labels
-        hold its text by reference until the one join."""
+        each distinct polynomial is rendered once per call, and every label
+        refers to that one text until the final join."""
         parts = ["digraph markoff_tree {\n", '  node [shape=box, fontname="monospace"];\n']
-        counter = [0]
         render = functools.cache(lambda c: render_poly(c, style))
-
-        def emit(node):
-            idx = counter[0]
-            counter[0] += 1
-            parts.extend((f'  n{idx} [label="', *_label(node.triple, render), '"];\n'))
-            for child in node.children:
-                cidx = emit(child)
-                parts.append(f'  n{idx} -> n{cidx} [label="s{child.branch}"];\n')
-            return idx
-
-        emit(self)
+        _dot_parts(self, parts, render, itertools.count())
         parts.append("}")
         return "".join(parts)
+
+
+def _dot_parts(node: TreeNode, parts: list, render, numbers) -> int:
+    """Append the DOT text of node's subtree to parts, numbering nodes in
+    preorder from numbers, and return node's number."""
+    idx = next(numbers)
+    parts += (f'  n{idx} [label="', *_label(node.triple, render), '"];\n')
+    for child in node.children:
+        cidx = _dot_parts(child, parts, render, numbers)
+        parts.append(f'  n{idx} -> n{cidx} [label="s{child.branch}"];\n')
+    return idx
