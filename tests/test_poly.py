@@ -105,7 +105,8 @@ class TestStructure:
 
     def test_equal_and_hashed_by_modulus_and_coeffs(self):
         f = poly(P13, 11, 10, 1)
-        assert f == parse_poly("t^2-3*t-2", P13) and hash(f) == hash(Polynomial(P13, [11, 10, 1, 0]))
+        g = Polynomial(P13, [11, 10, 1, 0])
+        assert f == g == parse_poly("t^2-3*t-2", P13) and hash(f) == hash(g)
         assert f != poly(P13, 11, 10, 2) and f != poly(P17, 11, 10, 1)
         assert f != (11, 10, 1) and Polynomial.zero(P5) != Polynomial.zero(P7)
 
