@@ -7,8 +7,10 @@ piece as the value is walked, so a large tree is never held as one string;
 counts check their digit caps before anything is written.  Exit
 codes: 0 success, 1 failed verification, 2 usage or parse error, 3 budget
 exceeded.  Fixed caps, each checked before the work it bounds starts, end
-with exit 3: a tree depth above triples.MAX_TREE_DEPTH, a euclid depth
-above euclid.MAX_LAYER, more candidate pairs for --brute than
+with exit 3: a tree depth above triples.MAX_TREE_DEPTH, a tree whose
+coefficient count, predicted from the root's degrees, is above
+triples.MAX_TREE_COEFFS, a euclid depth above euclid.MAX_LAYER, more
+candidate pairs for --brute than
 oracle.MAX_CANDIDATE_PAIRS, a power or product in a polynomial expression
 above the parser's degree cap, a count with more digits than can be
 printed, and a factorization needing trial divisors above its cap or with

@@ -8,14 +8,18 @@ them and the solution enumerator calls them directly.  `_mul` multiplies
 small operands by the schoolbook loop and larger ones by Kronecker
 substitution (one big-integer product).  A small expression parser and a
 deterministic renderer (plain residues, or minimal-magnitude forms using
-i = sqrt(-1)) round-trip polynomials through text.  The parser cuts the text
-into tokens (runs of ASCII digits, single non-blank characters) and reads
-them by recursive descent into values t^shift * coeffs, so `t^k` costs one
-shift; each sum is collected into one coefficient list and reduced mod p
-once, so a rendered degree-d polynomial parses in time linear in d.  Tokens
-are held without their positions; an error finds its position again.  It
-refuses any power or product of degree above MAX_PARSE_DEGREE (a bound on
-each term, not on the number of terms in a sum).  The renderer works out the
+i = sqrt(-1)) round-trip polynomials through text.  The parser first reads
+a sum of terms as the renderer writes them, `[+-][c*][i*]t[^k]` or a
+constant `c`, `c*i` or `i`, with one term regex, term after term into one
+coefficient list reduced mod p once.  Everything else, and every input with
+an error, goes to the recursive descent: it cuts the text into tokens (runs
+of ASCII digits, single non-blank characters) and reads them into values
+t^shift * coeffs, so `t^k` costs one shift; each sum is collected into one
+coefficient list and reduced mod p once, so either way a rendered degree-d
+polynomial parses in time linear in d.  Tokens are held without their
+positions; an error finds its position again.  The parser refuses any power
+or product of degree above MAX_PARSE_DEGREE (a bound on each term, not on
+the number of terms in a sum).  The renderer works out the
 signed factor of each distinct coefficient once per call and writes every
 term from it.
 """
@@ -119,9 +123,14 @@ def _smul(a, s, p):
     return tuple([v * s % p for v in a])
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Polynomial:
     """Immutable dense polynomial over F_p, equal and hashed by its fields."""
+
+    # declared here rather than by slots=True, which builds a new class that
+    # the frozen __setattr__ does not know: assigning a name that is not a
+    # field then raised TypeError instead of FrozenInstanceError
+    __slots__ = ("modulus", "coeffs")
 
     modulus: PrimeModulus
     coeffs: tuple
@@ -295,12 +304,65 @@ def parse_poly(text: str, modulus: PrimeModulus) -> Polynomial:
     is an integer literal (ASCII digits), `t`, `i` (requires p = 1 mod 4),
     or a parenthesized expression.  `^` takes a non-negative integer literal.
     """
-    parser = _Parser(text, modulus)
-    _, coeffs = parser.expr()
-    token = parser.tokens[parser.k]
-    if token:
-        raise ParseError(f"unexpected character {token[0]!r}", parser.position(parser.k))
+    coeffs = _read_sum(text, modulus)
+    if coeffs is None:
+        parser = _Parser(text, modulus)
+        _, coeffs = parser.expr()
+        token = parser.tokens[parser.k]
+        if token:
+            raise ParseError(f"unexpected character {token[0]!r}", parser.position(parser.k))
     return Polynomial._make(modulus, coeffs)
+
+
+# One term of a sum as render_poly writes it: a sign, optional on the first
+# term, then [c*][i*]t[^k] (groups 2-5) or a constant c, c*i (groups 6-7) or
+# i (group 8).  A coefficient has at most 640 digits, the least int-string
+# limit Python can be set to, and an exponent at most 6; a longer literal
+# fails the match.
+_TERM = re.compile(
+    r"([+-]?)(?:(?:([0-9]{1,640})\*)?(i\*)?(t)(?:\^([0-9]{1,6}))?|([0-9]{1,640})(\*i)?|(i))"
+)
+
+
+def _read_sum(text, modulus):
+    """Coefficients of text read as a sum of rendered terms, or None when it
+    is not one, or holds an 'i' with p = 3 (mod 4) or a term above
+    MAX_PARSE_DEGREE; the recursive descent then reads it, or reports the
+    error at its position."""
+    text = text.strip()
+    i = None  # looked up at the first 'i', as the recursive descent does
+    acc = []
+    pos, end = 0, len(text)
+    while pos < end:
+        m = _TERM.match(text, pos)
+        if m is None:
+            return None
+        sign, c, ti, t, k, cc, ci, ci_alone = m.groups()
+        if pos and not sign:
+            return None
+        degree = int(k) if k else 1 if t else 0
+        if degree > MAX_PARSE_DEGREE:
+            return None
+        value = int(c or cc or 1)
+        if ti or ci or ci_alone:
+            if i is None:
+                i = sqrt_minus_one(modulus)
+                if i is None:
+                    return None
+            value *= i
+        if degree >= len(acc):
+            acc += [0] * (degree + 1 - len(acc))
+        acc[degree] += -value if sign == "-" else value
+        pos = m.end()
+    return _reduced(acc, modulus.p) if end else None
+
+
+def _reduced(acc, p):
+    """The coefficient tuple of a list of unreduced integers."""
+    acc = [v % p for v in acc]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return tuple(acc)
 
 
 # A token is a run of ASCII digits or one non-blank character.
@@ -341,11 +403,7 @@ class _Parser:
         for sign, shift, c in terms:
             for j, v in enumerate(c, shift):
                 acc[j] += sign * v
-        p = self.modulus.p
-        acc = [v % p for v in acc]
-        while acc and acc[-1] == 0:
-            acc.pop()
-        return 0, tuple(acc)
+        return 0, _reduced(acc, self.modulus.p)
 
     def term(self):
         start = self.k

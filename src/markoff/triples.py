@@ -33,6 +33,12 @@ from .poly import Polynomial, render_poly
 # degree makes every node larger.
 MAX_TREE_DEPTH = 12
 
+# The most coefficients generate_tree builds, summed over every coordinate of
+# every node and predicted from the root's degrees before anything is built.
+# Depth 12 from the root above predicts 3,213,217; a root of degrees
+# (100, 100, 200) would build 318,888,973 and is refused.
+MAX_TREE_COEFFS = 1 << 22
+
 
 # ----------------------------------------------------------------------
 # generators of the automorphism group
@@ -184,6 +190,30 @@ def is_fundamental(triple: MarkoffTriple) -> bool:
     (deg y = deg z once sorted).  Raises nothing."""
     _, middle, top = sorted(triple.signature())
     return middle == top
+
+
+def predict_tree_coeffs(signature, beta: int, depth: int) -> int:
+    """Coefficients over every coordinate of every node of the depth-`depth`
+    tree under a root of this degree signature, walked on degrees alone.
+
+    The signature is that of a sorted solution of positive height, so
+    d1 <= d2 <= d3 with d2 >= 0.  A branching move replaces d_i by
+    max(beta + d_j + d_k, d_i), which bounds the degree of A*x_j*x_k - x_i:
+    sigma_1 gives (d2, d3, beta + d2 + d3), and sigma_2 gives
+    (d1, d3, beta + d1 + d3), or keeps the signature when d1 is -inf (x = 0).
+    Below a non-fundamental root the new leading term cannot cancel, so there
+    the prediction is exact; on the fundamental triples of both families,
+    sigma_2 keeps deg y, so it is exact there too."""
+    total = 0
+    stack = [(*signature, depth)]
+    while stack:
+        d1, d2, d3, left = stack.pop()
+        total += d2 + d3 + 2 + (d1 + 1 if d1 >= 0 else 0)
+        if left:
+            left -= 1
+            stack.append((d2, d3, beta + d2 + d3, left))
+            stack.append((d1, d3, beta + d1 + d3, left) if d1 >= 0 else (d1, d2, d3, left))
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +395,9 @@ class MarkoffContext:
         if depth > MAX_TREE_DEPTH:
             raise BudgetExceeded("tree depth", depth, MAX_TREE_DEPTH)
         sorted_root, _ = sort_triple(root)
+        predicted = predict_tree_coeffs(sorted_root.signature(), self.beta, depth)
+        if predicted > MAX_TREE_COEFFS:
+            raise BudgetExceeded("tree coefficients", predicted, MAX_TREE_COEFFS)
         return self._grow(sorted_root, None, depth)
 
     def _grow(self, triple, branch, depth):

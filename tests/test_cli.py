@@ -112,6 +112,13 @@ class TestTree:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: tree depth 13 exceeds budget 12\n"
 
+    def test_size_budget_exits_three(self, capsys):
+        # degrees (1, 1, 3) with deg A = 1: 6,377,288 coefficients at depth 12
+        code = main(["tree", "--p", "13", "--A", "t", "--root", "(t; 5*t; 5*t^3)", "--depth", "12"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: tree coefficients 6377288 exceeds budget 4194304\n"
+
     def test_env_does_not_change_the_budget(self, capsys, monkeypatch):
         argv = (*self.ROOT_ARGS, "--depth", "2")
         expected = run(capsys, *argv)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import budget_fields, parse_by_positions, render_by_candidates
+from helpers import (
+    GOLDEN_TREE,
+    budget_fields,
+    parse_by_positions,
+    render_by_candidates,
+    triple_of,
+)
+import markoff.cli
 import markoff.oracle
 import markoff.poly
 from markoff.errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
@@ -69,6 +76,31 @@ parser_inputs = st.lists(
 ).map("".join)
 
 
+# Near misses of a rendered sum, each put in at one place: a sign, '^', '*'
+# or a blank; a product where a term may stand; a literal over 640 digits (a
+# coefficient the term regex does not read) or past Python's int-string
+# limit; and terms over the degree cap.
+NEAR_MISSES = (
+    "+", "-", "^", "*", " ", "0*1", "2*", "*i", "i*", "7" * 700, "1" * 5000,
+    "+t^70000", "+t^1234567", "-3*t^65536",
+)
+
+
+@st.composite
+def rendered_sums(draw):
+    """render_poly output at p = 13, in either style, as it is, with a
+    character taken out (such as a missing sign), or with a near miss put in."""
+    f = draw(st.lists(st.integers(0, 12), max_size=40).map(lambda c: Polynomial(P13, c)))
+    text = render_poly(f, draw(st.sampled_from(("plain", "with_i"))))
+    k = draw(st.integers(0, len(text)))
+    change = draw(st.sampled_from(("none", "drop", "insert")))
+    if change == "drop":
+        return text[:k] + text[k + 1 :]
+    if change == "insert":
+        return text[:k] + draw(st.sampled_from(NEAR_MISSES)) + text[k:]
+    return text
+
+
 def parse_outcome(parse, text, mod):
     try:
         return parse(text, mod)
@@ -96,12 +128,14 @@ class TestStructure:
         assert Polynomial.from_json(f.to_json()) == f
         assert Polynomial.zero(P5).to_json() == {"p": 5, "coeffs": []}
 
-    @pytest.mark.parametrize("field, value", [("coeffs", (1,)), ("modulus", P7)])
+    @pytest.mark.parametrize("field, value", [("coeffs", (1,)), ("modulus", P7), ("foo", 1)])
     def test_fields_cannot_be_assigned(self, field, value):
         f = poly(P5, 1, 3)
         with pytest.raises(AttributeError):
             setattr(f, field, value)
-        assert f.coeffs == (1, 3) and f.modulus == P5
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+        assert f.coeffs == (1, 3) and f.modulus == P5 and not hasattr(f, "foo")
 
     def test_equal_and_hashed_by_modulus_and_coeffs(self):
         f = poly(P13, 11, 10, 1)
@@ -386,6 +420,33 @@ class TestParser:
         monkeypatch.setattr(Polynomial, "__pow__", refuse)
         assert parse_poly("3*t^500 + 2*t", P13).coeffs == (0, 2) + (0,) * 498 + (3,)
 
+    def test_rendered_text_skips_the_parser(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def refuse(text, modulus):
+            raise Reached(text)
+
+        # hand-written triples: signs, i and powers in every place
+        triples = [triple_of(text, P13) for text in GOLDEN_TREE]
+        monkeypatch.setattr(markoff.poly, "_Parser", refuse)
+        # every residue as a coefficient, and sparse ones
+        dense = [Polynomial(P13, [(5 * k + k // 13) % 13 for k in range(d + 1)] + [1])
+                 for d in (-1, 0, 1, 2, 12, 77, 999)]
+        sparse = [Polynomial(P13, [1] + [0] * 999 + [12]), Polynomial(P13, [0, 5])]
+        for f in [Polynomial.zero(P13), *dense, *sparse]:
+            for style in ("plain", "with_i"):
+                assert parse_poly(render_poly(f, style), P13) == f
+        # the parts " t^2+..." of a triple on the command line
+        for text, triple in zip(GOLDEN_TREE, triples):
+            assert markoff.cli._parse_triple(text, P13) == triple
+        for text in ("(t+1)^2", "2^3*t"):
+            with pytest.raises(Reached):
+                parse_poly(text, P13)
+        # sqrt(-1) is looked up only for a text with an 'i' in it
+        monkeypatch.setattr(markoff.poly, "sqrt_minus_one", refuse)
+        assert parse_poly("3*t^2+2*t-1", P13) == poly(P13, 12, 2, 3)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(expression_trees, st.sampled_from([P5, P13]), st.randoms(use_true_random=False))
     def test_expression_tree_parses_to_its_value(self, tree, mod, rng):
@@ -401,6 +462,7 @@ class TestParser:
         "text,degree",
         [
             ("t^300000000", 300000000),
+            ("t^70000", 70000),
             ("(t+1)^300000000", 300000000),
             (f"t^{MAX_PARSE_DEGREE // 2 + 1}*t^{MAX_PARSE_DEGREE // 2}", MAX_PARSE_DEGREE + 1),
             (f"(t^2+1)^{MAX_PARSE_DEGREE // 2 + 1}", MAX_PARSE_DEGREE + 2),
@@ -415,10 +477,13 @@ class TestParser:
         assert parse_poly(f"t^{MAX_PARSE_DEGREE}", P13).degree == MAX_PARSE_DEGREE
         assert parse_poly(f"2^{MAX_PARSE_DEGREE + 1}", P13) == poly(P13, pow(2, MAX_PARSE_DEGREE + 1, 13))
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(parser_inputs)
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(st.one_of(parser_inputs, rendered_sums()))
     @example("2 + t*(t+1)^70000")  # the degree cap at a term past position 0
     @example("1+ (t - 3*i)")
+    @example("0*1")
+    @example("t^2+2*i*t-2")
+    @example("2*t3*t")  # a missing sign
     def test_matches_position_parser(self, text):
         # same polynomial, or the same error at the same position; at p = 7
         # every 'i' is an error

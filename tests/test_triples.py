@@ -456,6 +456,47 @@ class TestGenerateTree:
         with pytest.raises(NotSolution):
             CTX1.generate_tree(triple_of("(1; 1; 1)", P13), 1)
 
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(fundamental_forms(), st.lists(st.sampled_from([1, 2]), max_size=2), st.integers(0, 4))
+    def test_predicted_size_is_the_built_size(self, ctx_form, branches, depth):
+        # roots: fundamental triples (the zero family has x = 0) and triples
+        # grown from them by branching moves, fundamental or not; the
+        # prediction is an upper bound, and on every such root it is exact
+        ctx, form = ctx_form
+        root = ctx.make_fundamental(form)
+        for branch in branches:
+            root = sort_triple(ctx.apply_sigma(root, branch))[0]
+        predicted = triples.predict_tree_coeffs(root.signature(), ctx.beta, depth)
+        tree = ctx.generate_tree(root, depth)
+        built = sum(len(c.coeffs) for node in tree.walk() for c in node.triple.coords)
+        assert predicted == built
+
+    def test_size_budget_refuses_before_building(self, monkeypatch):
+        def refuse(self, triple, branch, depth):
+            raise AssertionError("tree built")
+
+        monkeypatch.setattr(triples.MarkoffContext, "_grow", refuse)
+        # degrees (1, 1, 3) with deg A = 1
+        root = CTX_T13.make_root(parse_poly("t", P13), 1)
+        with pytest.raises(BudgetExceeded) as err:
+            CTX_T13.generate_tree(root, 12)
+        assert budget_fields(err) == ("tree coefficients", 6377288, 2**22)
+        # the README root at the depth cap is admitted
+        golden = triple_of(GOLDEN_ROOT, P13)
+        assert triples.predict_tree_coeffs(golden.signature(), 0, 12) == 3213217
+        with pytest.raises(AssertionError, match="tree built"):
+            CTX1.generate_tree(golden, 12)
+
+    def test_size_budget_is_exact_at_the_cap(self, monkeypatch):
+        # depth 4 from the README root builds 577 coefficients
+        root = triple_of(GOLDEN_ROOT, P13)
+        monkeypatch.setattr(triples, "MAX_TREE_COEFFS", 577)
+        assert len(list(CTX1.generate_tree(root, 4).walk())) == 2**5 - 1
+        monkeypatch.setattr(triples, "MAX_TREE_COEFFS", 576)
+        with pytest.raises(BudgetExceeded) as err:
+            CTX1.generate_tree(root, 4)
+        assert budget_fields(err) == ("tree coefficients", 577, 576)
+
     def test_dot_renders_each_polynomial_once(self, monkeypatch):
         tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 4)
         expected = dot_by_node(tree, "with_i")
