@@ -4,13 +4,16 @@ Subcommands: verify, tree, descend, euclid, count signatures, count
 solutions.  All outputs are JSON unless --format says otherwise.  JSON has
 the layout of json.dumps(..., indent=2) and is written to stdout piece by
 piece as the value is walked, so a large tree is never held as one string;
-counts check their digit caps before anything is written.  Exit
-codes: 0 success, 1 failed verification, 2 usage or parse error, 3 budget
-exceeded.  Fixed caps, each checked before the work it bounds starts, end
-with exit 3: a tree depth above triples.MAX_TREE_DEPTH, a tree whose
-coefficient count, predicted from the root's degrees, is above
-triples.MAX_TREE_COEFFS, a euclid depth above euclid.MAX_LAYER, more
-candidate pairs for --brute than
+counts check their digit caps before anything is written.
+
+Exit codes: 0 success, 1 failed verification, 2 usage, parse or file error
+(such as an unwritable --solutions-out path), 3 budget exceeded, 141 (128 +
+SIGPIPE, as a shell reports a process that signal ended) when the reader
+closes stdout early, as `| head` does, with nothing on stderr.  Fixed caps,
+each checked before the work it bounds starts, end with exit 3: a tree
+depth above triples.MAX_TREE_DEPTH, a tree whose coefficient count,
+predicted from the root's degrees, is above triples.MAX_TREE_COEFFS, a
+euclid depth above euclid.MAX_LAYER, more candidate pairs for --brute than
 oracle.MAX_CANDIDATE_PAIRS, a power or product in a polynomial expression
 above the parser's degree cap, a count with more digits than can be
 printed, and a factorization needing trial divisors above its cap or with
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import euclid as euclid_mod
@@ -301,10 +305,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does; stdout's fd now goes to
+        # devnull, so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MarkoffError, ValueError) as exc:
+    except (MarkoffError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

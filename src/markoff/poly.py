@@ -8,20 +8,19 @@ them and the solution enumerator calls them directly.  `_mul` multiplies
 small operands by the schoolbook loop and larger ones by Kronecker
 substitution (one big-integer product).  A small expression parser and a
 deterministic renderer (plain residues, or minimal-magnitude forms using
-i = sqrt(-1)) round-trip polynomials through text.  The parser first reads
-a sum of terms as the renderer writes them, `[+-][c*][i*]t[^k]` or a
-constant `c`, `c*i` or `i`, with one term regex, term after term into one
-coefficient list reduced mod p once.  Everything else, and every input with
-an error, goes to the recursive descent: it cuts the text into tokens (runs
-of ASCII digits, single non-blank characters) and reads them into values
-t^shift * coeffs, so `t^k` costs one shift; each sum is collected into one
-coefficient list and reduced mod p once, so either way a rendered degree-d
-polynomial parses in time linear in d.  Tokens are held without their
-positions; an error finds its position again.  The parser refuses any power
-or product of degree above MAX_PARSE_DEGREE (a bound on each term, not on
-the number of terms in a sum).  The renderer works out the
-signed factor of each distinct coefficient once per call and writes every
-term from it.
+i = sqrt(-1)) round-trip polynomials through text.
+
+The parser is one recursive descent over the characters of the text.  In
+each sum it reads a term as the renderer writes it, `[+-][c*][i*]t[^k]` or
+a constant `c`, `c*i` or `i`, with one term regex; any other term, and
+every error, goes down through term(), power() and atom(), which raise at
+the position of the character they fail on.  Values are coefficient tuples,
+`t^k` is built as one tuple, and each sum is collected into one list of
+integers and reduced mod p once, so a rendered degree-d polynomial parses
+in time linear in d.  The parser refuses any power or product of degree
+above MAX_PARSE_DEGREE (a bound on each term, not on the number of terms in
+a sum).  The renderer works out the signed factor of each distinct
+coefficient once per call and writes every term from it.
 """
 
 from __future__ import annotations
@@ -304,176 +303,170 @@ def parse_poly(text: str, modulus: PrimeModulus) -> Polynomial:
     is an integer literal (ASCII digits), `t`, `i` (requires p = 1 mod 4),
     or a parenthesized expression.  `^` takes a non-negative integer literal.
     """
-    coeffs = _read_sum(text, modulus)
-    if coeffs is None:
-        parser = _Parser(text, modulus)
-        _, coeffs = parser.expr()
-        token = parser.tokens[parser.k]
-        if token:
-            raise ParseError(f"unexpected character {token[0]!r}", parser.position(parser.k))
+    parser = _Parser(text, modulus)
+    coeffs = parser.expr()
+    if parser.pos < len(text):
+        raise ParseError(f"unexpected character {text[parser.pos]!r}", parser.pos)
     return Polynomial._make(modulus, coeffs)
 
 
-# One term of a sum as render_poly writes it: a sign, optional on the first
-# term, then [c*][i*]t[^k] (groups 2-5) or a constant c, c*i (groups 6-7) or
-# i (group 8).  A coefficient has at most 640 digits, the least int-string
-# limit Python can be set to, and an exponent at most 6; a longer literal
-# fails the match.
+# One term of a sum as render_poly writes it: a sign, then [c*][i*]t[^k]
+# (groups 2-5) or a constant c, c*i (groups 6-7) or i (group 8), then a sign,
+# a ')' or the end, so that no term is taken out of a longer product or power
+# such as 2*t*(t+1) or t^2^3.  A coefficient has at most 640 digits, the
+# least int-string limit Python can be set to, and an exponent at most 6; a
+# longer literal fails the match.
 _TERM = re.compile(
     r"([+-]?)(?:(?:([0-9]{1,640})\*)?(i\*)?(t)(?:\^([0-9]{1,6}))?|([0-9]{1,640})(\*i)?|(i))"
+    r"(?=[-+)]|\Z)"
 )
-
-
-def _read_sum(text, modulus):
-    """Coefficients of text read as a sum of rendered terms, or None when it
-    is not one, or holds an 'i' with p = 3 (mod 4) or a term above
-    MAX_PARSE_DEGREE; the recursive descent then reads it, or reports the
-    error at its position."""
-    text = text.strip()
-    i = None  # looked up at the first 'i', as the recursive descent does
-    acc = []
-    pos, end = 0, len(text)
-    while pos < end:
-        m = _TERM.match(text, pos)
-        if m is None:
-            return None
-        sign, c, ti, t, k, cc, ci, ci_alone = m.groups()
-        if pos and not sign:
-            return None
-        degree = int(k) if k else 1 if t else 0
-        if degree > MAX_PARSE_DEGREE:
-            return None
-        value = int(c or cc or 1)
-        if ti or ci or ci_alone:
-            if i is None:
-                i = sqrt_minus_one(modulus)
-                if i is None:
-                    return None
-            value *= i
-        if degree >= len(acc):
-            acc += [0] * (degree + 1 - len(acc))
-        acc[degree] += -value if sign == "-" else value
-        pos = m.end()
-    return _reduced(acc, modulus.p) if end else None
-
-
-def _reduced(acc, p):
-    """The coefficient tuple of a list of unreduced integers."""
-    acc = [v % p for v in acc]
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return tuple(acc)
-
-
-# A token is a run of ASCII digits or one non-blank character.
-_TOKEN = re.compile(r"[0-9]+|\S")
+_BLANKS = re.compile(r"\s*")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _Parser:
-    """Recursive descent over the token list of the text, closed by the end
-    token "".  A value (shift, coeffs) stands for t^shift times the
-    polynomial with coefficient tuple coeffs; a sum is collected term by term
-    and reduced once.  Tokens are read by index; an error finds the character
-    position of its token again from the text."""
+    """Recursive descent over the characters of the text, with blanks
+    allowed between tokens (runs of ASCII digits, single characters); pos
+    is the position of the next character to read."""
 
     def __init__(self, text, modulus):
         self.text = text
-        self.tokens = _TOKEN.findall(text) + [""]
-        self.k = 0
         self.modulus = modulus
+        self.pos = 0
+        self.i = None  # sqrt(-1), looked up at the first 'i'
 
-    def position(self, k):
-        """Character position of token k; the end token's is len(text)."""
-        for j, m in enumerate(_TOKEN.finditer(self.text)):
-            if j == k:
-                return m.start()
-        return len(self.text)
+    def peek(self):
+        """The next non-blank character, "" at the end; self.pos is its
+        position."""
+        self.pos = _BLANKS.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
+
+    def unit(self):
+        if self.i is None:
+            self.i = sqrt_minus_one(self.modulus)
+        return self.i
 
     def expr(self):
-        terms = []
+        """A sum of terms; it stops at a non-blank character or the end."""
+        text, acc, first, i = self.text, [], True, self.i
+        self.peek()
+        pos = self.pos
         while True:
-            token = self.tokens[self.k]
-            if token in ("+", "-"):
-                self.k += 1
-            elif terms:
+            # a term after the first carries its own sign; term() reads one
+            # over the degree cap, or with an 'i' at p = 3 (mod 4), and raises
+            m = _TERM.match(text, pos)
+            if m:
+                sign, c, ti, t, k, cc, ci, ci_alone = m.groups()
+                degree = int(k) if k else 1 if t else 0
+                imaginary = ti or ci or ci_alone
+                # i is None until the first 'i', and never 0 (i*i = -1)
+                if (sign or first) and degree <= MAX_PARSE_DEGREE and (
+                    not imaginary or (i := i or self.unit())
+                ):
+                    value = int(c or cc or 1)
+                    if imaginary:
+                        value *= i
+                    if degree >= len(acc):
+                        acc += [0] * (degree + 1 - len(acc))
+                    acc[degree] += -value if sign == "-" else value
+                    pos = m.end()
+                    first = False
+                    continue
+            self.pos = pos
+            sign = text[pos : pos + 1]
+            if sign in ("+", "-"):
+                self.pos += 1
+            elif not first:
                 break
-            terms.append((-1 if token == "-" else 1, *self.term()))
-        # a zero term may carry any shift, such as the 10^9 of (0*t)^1000000000
-        acc = [0] * max((shift + len(c) for _, shift, c in terms if c), default=0)
-        for sign, shift, c in terms:
-            for j, v in enumerate(c, shift):
-                acc[j] += sign * v
-        return 0, _reduced(acc, self.modulus.p)
+            coeffs = self.term()
+            if len(coeffs) > len(acc):
+                acc += [0] * (len(coeffs) - len(acc))
+            for j, v in enumerate(coeffs):
+                acc[j] += -v if sign == "-" else v
+            self.peek()
+            pos = self.pos
+            first = False
+        p = self.modulus.p
+        acc = [v % p for v in acc]
+        while acc and acc[-1] == 0:
+            acc.pop()
+        return tuple(acc)
 
     def term(self):
-        start = self.k
-        shift, coeffs = self.power()
-        while self.tokens[self.k] == "*":
-            self.k += 1
-            s, c = self.power()
+        self.peek()
+        start = self.pos
+        coeffs = self.power()
+        while self.peek() == "*":
+            self.pos += 1
+            c = self.power()
             if coeffs and c:
-                self.cap(shift + len(coeffs) + s + len(c) - 2, start)
-            shift, coeffs = shift + s, _mul(coeffs, c, self.modulus.p)
-        return shift, coeffs
+                self.cap(len(coeffs) + len(c) - 2, start)
+            coeffs = _mul(coeffs, c, self.modulus.p)
+        return coeffs
 
     def power(self):
-        start = self.k
-        shift, coeffs = self.atom()
-        while self.tokens[self.k] == "^":
-            token = self.tokens[self.k + 1]
-            if not (token.isascii() and token.isdigit()):
-                raise ParseError("expected exponent", self.position(self.k + 1))
-            exponent = self.integer(token, self.k + 1)
-            self.k += 2
-            if coeffs:
-                self.cap(exponent * (shift + len(coeffs) - 1), start)
-            if len(coeffs) == 1:
-                coeffs = (pow(coeffs[0], exponent, self.modulus.p),)
-            elif coeffs:
+        self.peek()
+        start = self.pos
+        coeffs = self.atom()
+        while self.peek() == "^":
+            self.pos += 1
+            self.peek()
+            exponent = self.literal()
+            if exponent is None:
+                raise ParseError("expected exponent", self.pos)
+            if not coeffs:
+                coeffs = () if exponent else (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
+                continue
+            degree = exponent * (len(coeffs) - 1)
+            self.cap(degree, start)
+            if any(coeffs[:-1]):
                 coeffs = (Polynomial._make(self.modulus, coeffs) ** exponent).coeffs
-            elif exponent == 0:
-                coeffs = (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
-            shift *= exponent
-        return shift, coeffs
+            else:  # a monomial c*t^d, such as t: its power is one tuple
+                coeffs = (0,) * degree + (pow(coeffs[-1], exponent, self.modulus.p),)
+        return coeffs
 
-    def integer(self, token, k):
+    def literal(self):
+        """The integer of the run of ASCII digits at pos, or None without one."""
+        m = _DIGITS.match(self.text, self.pos)
+        if m is None:
+            return None
         try:
-            return int(token)
+            value = int(m[0])
         except ValueError:  # a run of ASCII digits fails only the int-string limit
             raise ParseError(
-                f"integer literal of {len(token)} digits is too long", self.position(k)
+                f"integer literal of {len(m[0])} digits is too long", self.pos
             ) from None
+        self.pos = m.end()
+        return value
 
     def cap(self, degree, start):
         if degree > MAX_PARSE_DEGREE:
-            raise BudgetExceeded(
-                f"term degree (position {self.position(start)})", degree, MAX_PARSE_DEGREE
-            )
+            raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
 
     def atom(self):
-        k = self.k
-        token = self.tokens[k]
-        self.k += 1
-        if token == "(":
-            value = self.expr()
-            if self.tokens[self.k] != ")":
-                raise ParseError("expected ')'", self.position(self.k))
-            self.k += 1
-            return value
-        if token == "t":
-            return 1, (1,)
-        if token == "i":
-            i = sqrt_minus_one(self.modulus)
-            if i is None:
+        pos = self.pos  # of a non-blank character, or the end
+        char = self.text[pos : pos + 1]
+        if char == "(":
+            self.pos += 1
+            coeffs = self.expr()
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
+            return coeffs
+        if char == "t":
+            self.pos += 1
+            return (0, 1)
+        if char == "i":
+            if self.unit() is None:
                 p = self.modulus.p
-                raise IUnavailable(
-                    f"'i' at position {self.position(k)}: -1 has no square root mod {p}"
-                )
-            return 0, (i,)
-        if token.isascii() and token.isdigit():
-            c = self.integer(token, k) % self.modulus.p
-            return 0, (c,) if c else ()
-        raise ParseError("expected integer, 't', 'i' or '('", self.position(k))
+                raise IUnavailable(f"'i' at position {pos}: -1 has no square root mod {p}")
+            self.pos += 1
+            return (self.i,)
+        c = self.literal()
+        if c is None:
+            raise ParseError("expected integer, 't', 'i' or '('", pos)
+        c %= self.modulus.p
+        return (c,) if c else ()
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,8 @@ from markoff.cli import main
 from markoff.counting import MAX_COUNT_DIGITS, MAX_DIVISOR_TERMS, MAX_TRIAL_DIVISOR
 from markoff.poly import MAX_PARSE_DEGREE
 from markoff.triples import MarkoffTriple
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -118,6 +124,21 @@ class TestTree:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: tree coefficients 6377288 exceeds budget 4194304\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "dot", "text"])
+    def test_closed_stdout_exits_141(self, fmt):
+        # the reader takes one line and closes the pipe, as `| head -n 1`
+        # does; the depth-8 tree, 260 kB or more, is far larger than the pipe
+        argv = [*self.ROOT_ARGS, "--depth", "8", "--format", fmt]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "markoff.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141 and err == b""
 
     def test_env_does_not_change_the_budget(self, capsys, monkeypatch):
         argv = (*self.ROOT_ARGS, "--depth", "2")
@@ -414,6 +435,23 @@ class TestCountSolutions:
         )
         assert code == 0 and obj["total"] > 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("missing/sols.jsonl", "[Errno 2] No such file or directory"),
+            ("", "[Errno 21] Is a directory"),
+        ],
+    )
+    def test_unwritable_solutions_out_exits_two(self, capsys, tmp_path, name, reason):
+        path = tmp_path / name
+        code = main([
+            "count", "solutions", "--q", "5", "--A", "t", "--n", "1",
+            "--brute", "--solutions-out", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {reason}: {str(path)!r}\n"
 
     def test_solutions_out_needs_brute(self, capsys, tmp_path, monkeypatch):
         calls = []

@@ -76,29 +76,33 @@ parser_inputs = st.lists(
 ).map("".join)
 
 
-# Near misses of a rendered sum, each put in at one place: a sign, '^', '*'
-# or a blank; a product where a term may stand; a literal over 640 digits (a
-# coefficient the term regex does not read) or past Python's int-string
-# limit; and terms over the degree cap.
+# Near misses of a rendered sum, each put in at one place: a sign, '^', '*',
+# a parenthesis or a blank; a product where a term may stand; a literal over
+# 640 digits (a coefficient the term regex does not read) or past Python's
+# int-string limit; and terms over the degree cap.
 NEAR_MISSES = (
-    "+", "-", "^", "*", " ", "0*1", "2*", "*i", "i*", "7" * 700, "1" * 5000,
+    "+", "-", "^", "*", "(", ")", " ", "0*1", "2*", "*i", "i*", "7" * 700, "1" * 5000,
     "+t^70000", "+t^1234567", "-3*t^65536",
 )
+
+# A sum as an atom, where a ')' ends its last term read by the term regex.
+WRAPS = ("{}", "({})", "2*({})^2", "({})*t")
 
 
 @st.composite
 def rendered_sums(draw):
     """render_poly output at p = 13, in either style, as it is, with a
-    character taken out (such as a missing sign), or with a near miss put in."""
+    character taken out (such as a missing sign), or with a near miss put in;
+    then as it is or wrapped in parentheses."""
     f = draw(st.lists(st.integers(0, 12), max_size=40).map(lambda c: Polynomial(P13, c)))
     text = render_poly(f, draw(st.sampled_from(("plain", "with_i"))))
     k = draw(st.integers(0, len(text)))
     change = draw(st.sampled_from(("none", "drop", "insert")))
     if change == "drop":
-        return text[:k] + text[k + 1 :]
-    if change == "insert":
-        return text[:k] + draw(st.sampled_from(NEAR_MISSES)) + text[k:]
-    return text
+        text = text[:k] + text[k + 1 :]
+    elif change == "insert":
+        text = text[:k] + draw(st.sampled_from(NEAR_MISSES)) + text[k:]
+    return draw(st.sampled_from(WRAPS)).format(text)
 
 
 def parse_outcome(parse, text, mod):
@@ -424,12 +428,12 @@ class TestParser:
         class Reached(Exception):
             pass
 
-        def refuse(text, modulus):
-            raise Reached(text)
+        def refuse(*args):
+            raise Reached(args)
 
         # hand-written triples: signs, i and powers in every place
         triples = [triple_of(text, P13) for text in GOLDEN_TREE]
-        monkeypatch.setattr(markoff.poly, "_Parser", refuse)
+        monkeypatch.setattr(markoff.poly._Parser, "term", refuse)
         # every residue as a coefficient, and sparse ones
         dense = [Polynomial(P13, [(5 * k + k // 13) % 13 for k in range(d + 1)] + [1])
                  for d in (-1, 0, 1, 2, 12, 77, 999)]
