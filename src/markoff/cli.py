@@ -36,7 +36,7 @@ from . import euclid as euclid_mod
 from .counting import C_A_from_C_beta, count_C_beta, count_finite_field, cumulative_signatures
 from .errors import BudgetExceeded, MarkoffError, ParseError
 from .field import PrimeModulus, sqrt_minus_one
-from .oracle import CONVENTIONS, census, enumerate_solutions, write_solutions_jsonl
+from .oracle import CONVENTIONS, census
 from .poly import NEG_INF, parse_poly
 from .triples import ConstantForm, MarkoffContext, MarkoffTriple, ZeroForm, is_fundamental
 
@@ -56,7 +56,15 @@ def _parse_triple(text: str, mod: PrimeModulus) -> MarkoffTriple:
     parts = s[1:-1].split(";")
     if len(parts) != 3:
         raise ParseError("triple needs exactly three ';'-separated parts", 0)
-    return MarkoffTriple(*(parse_poly(part, mod) for part in parts))
+    coords = []
+    start = len(text) - len(text.lstrip()) + 1  # of x in the whole argument
+    for name, part in zip("xyz", parts):
+        try:
+            coords.append(parse_poly(part, mod))
+        except ParseError as err:
+            raise ParseError(f"{err.message} in {name}", start + err.position) from None
+        start += len(part) + 1
+    return MarkoffTriple(*coords)
 
 
 def _style(mod: PrimeModulus) -> str:
@@ -222,12 +230,7 @@ def cmd_count_solutions(args) -> int:
         raise ValueError("--solutions-out needs --brute")
     ctx = _context(args, args.q)
     if args.brute:
-        solutions = enumerate_solutions(ctx, args.n, args.convention)
-        report = census(ctx, args.n, args.convention, solutions=solutions)
-        if args.solutions_out:
-            with open(args.solutions_out, "w", encoding="utf-8") as fp:
-                write_solutions_jsonl(solutions, fp)
-        _emit(report.to_json())
+        _emit(census(ctx, args.n, args.convention, solutions_out=args.solutions_out).to_json())
     else:
         report = count_finite_field(args.q, ctx.beta, args.n)
         out = {"q": args.q, "beta": ctx.beta, "n": args.n}

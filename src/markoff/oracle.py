@@ -1,25 +1,23 @@
 """Brute-force ground truth, independent of the closed-form counts.
 
-Solutions over F_q[t] of height <= n are enumerated by solving the
-quadratic z^2 - (Axy)z + (x^2 + y^2) = 0 through its discriminant for
-candidate pairs (x, y).  The degree lemma limits the pairs: in a solution
-with deg x <= deg y <= deg z, the relations z + z' = Axy and
-z*z' = x^2 + y^2 force either x = 0 and deg z = deg y, or
-deg z = beta + deg x + deg y with beta = deg A.  So only x = 0 beside every
-y of degree <= n, and the strata deg x <= deg y with
-beta + deg x + deg y <= n, are solved: `pair_count(q, beta, n)` of them,
-against the q^(2n+2) of a scan over all pairs (1521 against 390625 at
-q = 5, A = t, n = 3).  The ordered convention permutes the
-degree-sorted solutions.  Tree counts are recomputed by walking each tree.
-The census splits the enumerated solutions into fundamental /
-non-fundamental classes and compares each class with the matching
-divisor-sum term of the closed formula.
+Solutions over F_q[t] of height <= n are enumerated as triples of
+coefficient tuples.  By the degree lemma, a solution with
+deg x <= deg y <= deg z has x = 0, or deg z = beta + deg x + deg y with
+beta = deg A.  With x = 0, y^2 + z^2 = 0 gives z = +-i*y in closed form,
+and no solution when q = 3 (mod 4).  The strata of pairs with x != 0 and
+beta + deg x + deg y <= n are solved through the discriminant of
+z^2 - (Axy)z + (x^2 + y^2) = 0.  `pair_count(q, beta, n)` counts both kinds
+of pair and bounds the work.  The ordered convention permutes the
+degree-sorted solutions.  The census descends only non-fundamental triples,
+once per set of coordinates, and can stream the solutions to a file one
+triple at a time.  Tree counts are recomputed by walking each tree.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -27,12 +25,13 @@ from itertools import permutations, product
 from .counting import CountReport, count_finite_field
 from .errors import AllConstant, BudgetExceeded
 from .euclid import TreeId, root
+from .field import _sqrt_int
 from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
-from .triples import MarkoffContext, MarkoffTriple, is_fundamental
+from .triples import MarkoffContext, MarkoffTriple
 
 # The most candidate pairs enumerate_solutions solves; each pair gives at most
-# two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about 60 s
-# and 479 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
+# two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about 40 s
+# and 228 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
 MAX_CANDIDATE_PAIRS = 1 << 21
 
 E_ORACLE_MAX_N = 10**4
@@ -58,28 +57,9 @@ def pair_count(q: int, beta: int, max_height: int) -> int:
     )
 
 
-def _polys_of_degree(q, d):
-    """Coefficient tuples of every polynomial of degree exactly d >= 0."""
-    return [low + (lead,) for lead in range(1, q) for low in product(range(q), repeat=d)]
-
-
-def enumerate_solutions(
-    ctx: MarkoffContext, max_height: int, convention: str
-) -> list[MarkoffTriple]:
-    """All solutions with every degree <= max_height, not all constant.
-
-    ordered: every coordinate order.  degree_sorted: only triples with
-    deg x <= deg y <= deg z.  Output is canonically sorted and deterministic.
-
-    Only the pairs (x, y) that the degree lemma (see the module docstring)
-    allows are solved, `pair_count(q, deg A, max_height)` of them; the
-    ordered solutions are the permutations of the degree-sorted ones.
-    """
-    _check_convention(convention)
+def _check_pairs(q, beta, max_height):
     if max_height < 0:
         raise ValueError("max_height must be non-negative")
-    q = ctx.p.p
-    beta = ctx.beta
     if max_height >= MAX_CANDIDATE_PAIRS.bit_length():
         # q^(n+1) > 2^n > the cap: refuse before building a huge count
         raise BudgetExceeded(
@@ -89,47 +69,76 @@ def enumerate_solutions(
     if pairs > MAX_CANDIDATE_PAIRS:
         raise BudgetExceeded("candidate pairs", pairs, MAX_CANDIDATE_PAIRS)
 
-    # every nonzero polynomial of degree <= n beside its square, by degree
-    by_degree = [
-        [(f, _mul(f, f, q)) for f in _polys_of_degree(q, d)] for d in range(max_height + 1)
-    ]
-    zero = [((), ())]
-    span = max_height - beta
-    scan = [(zero, zero + [entry for stratum in by_degree for entry in stratum])]
-    scan += [
-        (by_degree[a], by_degree[b]) for a in range(span + 1) for b in range(a, span - a + 1)
-    ]
+
+def _polys_of_degree(q, d):
+    """Coefficient tuples of every polynomial of degree exactly d >= 0."""
+    return [low + (lead,) for lead in range(1, q) for low in product(range(q), repeat=d)]
+
+
+def _solutions(ctx: MarkoffContext, max_height: int) -> list[tuple]:
+    """Sorted coefficient-tuple triples (x, y, z) of every degree-sorted
+    solution with every degree <= max_height, not all constant.  The caller
+    has checked the height with `_check_pairs`."""
+    q = ctx.p.p
+    found = []
+    if q % 4 == 1:
+        # x = 0: z = +-i*y, and a constant y gives an all-constant triple
+        i = _sqrt_int(q - 1, q)
+        for d in range(1, max_height + 1):
+            for y in _polys_of_degree(q, d):
+                found += ((), y, _smul(y, i, q)), ((), y, _smul(y, q - i, q))
+    # x != 0: every polynomial of degree <= n - beta beside its square
+    span = max_height - ctx.beta
+    by_degree = [[(f, _mul(f, f, q)) for f in _polys_of_degree(q, d)] for d in range(span + 1)]
     a_coeffs = ctx.A.coeffs
     inv2 = pow(2, q - 2, q)
     max_len = max_height + 1
+    for a in range(span + 1):
+        for b in range(a, span - a + 1):
+            for x, x2 in by_degree[a]:
+                ax = _mul(a_coeffs, x, q)
+                for y, y2 in by_degree[b]:
+                    s = _mul(ax, y, q)
+                    c = _add(x2, y2, q)
+                    disc = _sub(_mul(s, s, q), _smul(c, 4, q), q)
+                    r = _sqrt_coeffs(disc, q)
+                    if r is None:
+                        continue
+                    roots = (_smul(_add(s, r, q), inv2, q),)
+                    if r:
+                        roots += (_smul(_sub(s, r, q), inv2, q),)
+                    for z in roots:
+                        # deg x <= deg y <= deg z <= n, and not all constant
+                        if max(len(y), 2) <= len(z) <= max_len:
+                            found.append((x, y, z))
+    found.sort()
+    return found
 
-    found = []
-    for xs, ys in scan:
-        for x, x2 in xs:
-            ax = _mul(a_coeffs, x, q)
-            for y, y2 in ys:
-                s = _mul(ax, y, q)
-                c = _add(x2, y2, q)
-                disc = _sub(_mul(s, s, q), _smul(c, 4, q), q)
-                r = _sqrt_coeffs(disc, q)
-                if r is None:
-                    continue
-                roots = (_smul(_add(s, r, q), inv2, q),)
-                if r:
-                    roots += (_smul(_sub(s, r, q), inv2, q),)
-                for z in roots:
-                    # deg x <= deg y <= deg z <= n, and not all constant
-                    if max(len(y), 2) <= len(z) <= max_len:
-                        found.append((x, y, z))
 
+def _triples(ctx: MarkoffContext, solutions: list[tuple], convention: str):
+    """One MarkoffTriple at a time from `_solutions`' tuples, every coordinate
+    order of them for ordered, in sorted order."""
     if convention == "ordered":
-        found = {order for triple in found for order in permutations(triple)}
-    found = sorted(found)
+        solutions = sorted({order for triple in solutions for order in permutations(triple)})
     mod = ctx.p
     make = Polynomial._make
-    return [
-        MarkoffTriple(make(mod, x), make(mod, y), make(mod, z)) for x, y, z in found
-    ]
+    for x, y, z in solutions:
+        yield MarkoffTriple(make(mod, x), make(mod, y), make(mod, z))
+
+
+def enumerate_solutions(
+    ctx: MarkoffContext, max_height: int, convention: str
+) -> list[MarkoffTriple]:
+    """All solutions with every degree <= max_height, not all constant.
+
+    ordered: every coordinate order.  degree_sorted: only triples with
+    deg x <= deg y <= deg z.  Output is canonically sorted and deterministic.
+    `pair_count(q, deg A, max_height)` bounds the work (see the module
+    docstring).
+    """
+    _check_convention(convention)
+    _check_pairs(ctx.p.p, ctx.beta, max_height)
+    return list(_triples(ctx, _solutions(ctx, max_height), convention))
 
 
 def write_solutions_jsonl(solutions, fp):
@@ -193,36 +202,38 @@ def census(
     ctx: MarkoffContext,
     n: int,
     convention: str,
-    solutions: list[MarkoffTriple] | None = None,
+    solutions_out: str | None = None,
 ) -> CensusReport:
     """Enumerate height-n solutions and split them against the formula.
 
     The d = 1 divisor term counts fundamental triples and the d > 1 terms
     count non-fundamental triples that descend to a fundamental one; members
     of constant-solution orbits form a third class with no matching term.
-    Each triple is classified as given, unsorted; `descend` sorts it itself.
-    Measured/predicted ratios are kept exact.  A caller that already holds
-    `enumerate_solutions(ctx, n, convention)` passes it as `solutions`, and
-    nothing is enumerated again.
+    Each set of coordinates is classified once, and counted once per
+    degree-sorted triple or per ordering.  Ratios are kept exact.  Given a
+    path `solutions_out`, opened before any pair is solved, the solutions
+    of every height <= n are written there as JSON-lines.
     """
     _check_convention(convention)
-    if solutions is None:
-        solutions = enumerate_solutions(ctx, n, convention)
-    fundamental = 0
-    nonfundamental = 0
-    constant_orbit = 0
+    _check_pairs(ctx.p.p, ctx.beta, n)
+    with open(solutions_out, "w", encoding="utf-8") if solutions_out else nullcontext() as fp:
+        solutions = _solutions(ctx, n)
+        if fp is not None:
+            write_solutions_jsonl(_triples(ctx, solutions, convention), fp)
+
+    counts = {"fundamental": 0, "nonfundamental": 0, "constant_orbit": 0}
+    classes = {}  # sorted coordinates -> class
     for triple in solutions:
-        if triple.height() != n:
+        if len(triple[2]) != n + 1:
             continue
-        if is_fundamental(triple):
-            fundamental += 1
+        key = tuple(sorted(triple))
+        cls = classes.get(key)
+        if cls is None:
+            cls = classes[key] = _classify(ctx, triple)
+        elif convention == "ordered":
             continue
-        try:
-            ctx.descend(triple)
-        except AllConstant:
-            constant_orbit += 1
-        else:
-            nonfundamental += 1
+        counts[cls] += len(set(permutations(triple))) if convention == "ordered" else 1
+    fundamental, nonfundamental, constant_orbit = counts.values()
 
     formula = None
     fund_term = nonfund_term = None
@@ -247,6 +258,19 @@ def census(
         fundamental_ratio=_ratio(fundamental, fund_term),
         nonfundamental_ratio=_ratio(nonfundamental, nonfund_term),
     )
+
+
+def _classify(ctx, triple):
+    """Class of a degree-sorted coefficient-tuple solution."""
+    x, y, z = triple
+    if len(y) == len(z):
+        return "fundamental"
+    make = Polynomial._make
+    try:
+        ctx.descend(MarkoffTriple(make(ctx.p, x), make(ctx.p, y), make(ctx.p, z)))
+    except AllConstant:
+        return "constant_orbit"
+    return "nonfundamental"
 
 
 def _ratio(count, term):

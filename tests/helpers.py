@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from markoff import counting
 from markoff.euclid import EuclidTriple, TreeId, on_unit_tree, root
-from markoff.errors import BudgetExceeded, IUnavailable, ParseError
+from markoff.errors import AllConstant, BudgetExceeded, IUnavailable, ParseError
 from markoff.field import PrimeModulus, sqrt_minus_one
 from markoff.poly import MAX_PARSE_DEGREE, Polynomial, _mul, parse_poly, render_poly
-from markoff.triples import MarkoffContext, MarkoffTriple
+from markoff.oracle import enumerate_solutions
+from markoff.triples import MarkoffContext, MarkoffTriple, is_fundamental
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -84,6 +85,27 @@ def _divisors_ascending(n):
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def census_by_triple(ctx, n, convention):
+    """Reference census classes, the loop `oracle.census` ran before it
+    classified coefficient tuples: (fundamental, non-fundamental,
+    constant-orbit) counts of the height-n triples of `enumerate_solutions`,
+    each triple tested and descended in its given coordinate order."""
+    fundamental = nonfundamental = constant_orbit = 0
+    for triple in enumerate_solutions(ctx, n, convention):
+        if triple.height() != n:
+            continue
+        if is_fundamental(triple):
+            fundamental += 1
+            continue
+        try:
+            ctx.descend(triple)
+        except AllConstant:
+            constant_orbit += 1
+        else:
+            nonfundamental += 1
+    return fundamental, nonfundamental, constant_orbit
 
 
 def bfs_count_with_seen_set(tree, n):

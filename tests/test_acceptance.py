@@ -220,7 +220,7 @@ def test_criterion_9_census_structure(capsys):
     for q, a_expr, n in DIVISOR_GRID:
         grid_ctx = context(PrimeModulus(q), a_expr)
         solutions = enumerate_solutions(grid_ctx, n, "degree_sorted")
-        rep = census(grid_ctx, n, "degree_sorted", solutions=solutions)
+        rep = census(grid_ctx, n, "degree_sorted")
         assert rep.fundamental_ratio == Fraction(1, 2)
         counts = nonfundamental_by_divisor(grid_ctx, n, solutions)
         assert sum(counts.values()) == rep.nonfundamental_count

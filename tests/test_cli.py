@@ -62,6 +62,21 @@ class TestVerify:
         code = main(["verify", "--p", "13", "--A", "1", "--triple", "(t; t+; 1)"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            ("(t+; t; 1)", "expected integer, 't', 'i' or '(' in x (at position 3)"),
+            ("(t; t+; 1)", "expected integer, 't', 'i' or '(' in y (at position 6)"),
+            ("(t; t; 1 2)", "unexpected character '2' in z (at position 9)"),
+            ("  (t; (t+1; 1)", "expected ')' in y (at position 10)"),
+        ],
+    )
+    def test_parse_error_position_is_in_the_whole_argument(self, capsys, triple, message):
+        code = main(["verify", "--p", "13", "--A", "1", "--triple", triple])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_prime_exits_two(self, capsys):
         code = main(["verify", "--p", "9", "--A", "1", "--triple", "(1; 1; 1)"])
         assert code == 2
@@ -83,7 +98,9 @@ class TestVerify:
         code = main(["verify", "--p", "13", "--A", "1", "--triple", f"(t; t; {'1' * 5000})"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "error: integer literal of 5000 digits is too long (at position 1)\n"
+        assert captured.err == (
+            "error: integer literal of 5000 digits is too long in z (at position 7)\n"
+        )
 
 
 class TestTree:
@@ -420,21 +437,21 @@ class TestCountSolutions:
         assert all(t.x.modulus.p == 5 for t in triples)
 
     def test_solutions_out_enumerates_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        enumerate_solutions = oracle.enumerate_solutions
+        solved = []
+        sqrt_coeffs = oracle._sqrt_coeffs
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return enumerate_solutions(*args, **kwargs)
+        def counted(f, p):
+            solved.append(f)
+            return sqrt_coeffs(f, p)
 
-        monkeypatch.setattr(cli, "enumerate_solutions", counted)
-        monkeypatch.setattr(oracle, "enumerate_solutions", counted)
+        monkeypatch.setattr(oracle, "_sqrt_coeffs", counted)
         code, obj = run_json(
             capsys, "count", "solutions", "--q", "5", "--A", "t", "--n", "2",
             "--brute", "--convention", "ordered", "--solutions-out", str(tmp_path / "s.jsonl"),
         )
         assert code == 0 and obj["total"] > 0
-        assert len(calls) == 1
+        # the x = 0 pairs are solved in closed form, every other pair once
+        assert len(solved) == oracle.pair_count(5, 1, 2) - 5**3
 
     @pytest.mark.parametrize(
         "name, reason",
@@ -443,7 +460,9 @@ class TestCountSolutions:
             ("", "[Errno 21] Is a directory"),
         ],
     )
-    def test_unwritable_solutions_out_exits_two(self, capsys, tmp_path, name, reason):
+    def test_unwritable_solutions_out_exits_two(self, capsys, tmp_path, monkeypatch, name, reason):
+        solved = []
+        monkeypatch.setattr(oracle, "_sqrt_coeffs", lambda *args: solved.append(args))
         path = tmp_path / name
         code = main([
             "count", "solutions", "--q", "5", "--A", "t", "--n", "1",
@@ -452,10 +471,22 @@ class TestCountSolutions:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {reason}: {str(path)!r}\n"
+        assert solved == []  # the file is opened before any pair is solved
+
+    def test_refused_brute_run_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "sols.jsonl"
+        code = main([
+            "count", "solutions", "--q", "5", "--A", "t", "--n", "8",
+            "--brute", "--solutions-out", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: candidate pairs 8138021 exceeds budget 2097152\n"
+        assert not path.exists()
 
     def test_solutions_out_needs_brute(self, capsys, tmp_path, monkeypatch):
         calls = []
-        for name in ("parse_poly", "count_finite_field", "enumerate_solutions"):
+        for name in ("parse_poly", "count_finite_field", "census"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
         path = tmp_path / "sols.jsonl"
         code = main([

@@ -3,7 +3,15 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import P5, P7, P13, bfs_count_with_seen_set, budget_fields, context
+from helpers import (
+    P5,
+    P7,
+    P13,
+    bfs_count_with_seen_set,
+    budget_fields,
+    census_by_triple,
+    context,
+)
 from markoff import oracle
 from markoff.errors import AllConstant, BudgetExceeded
 from markoff.oracle import (
@@ -17,7 +25,7 @@ from markoff.oracle import (
 )
 from markoff.counting import count_C_beta, count_E
 from markoff.euclid import TreeId
-from markoff.poly import Polynomial
+from markoff.poly import Polynomial, _mul, _smul, _sqrt_coeffs
 from markoff.triples import MarkoffTriple, is_fundamental, sort_triple
 
 
@@ -125,7 +133,28 @@ class TestEnumerate:
         monkeypatch.setattr(oracle, "_sqrt_coeffs", counted)
         ctx = context(P5, a_expr)
         enumerate_solutions(ctx, n, "ordered")
-        assert len(solved) == pair_count(5, ctx.beta, n)
+        # the q^(n+1) pairs with x = 0 are solved in closed form
+        assert len(solved) == pair_count(5, ctx.beta, n) - 5 ** (n + 1)
+
+    @pytest.mark.parametrize("mod, a_expr, n", [(P5, "t", 2), (P13, "t^2", 1)])
+    def test_zero_x_family_is_the_discriminant_roots(self, mod, a_expr, n):
+        # x = 0: z^2 + y^2 = 0, discriminant -4y^2, roots +-r/2
+        q = mod.p
+        half = pow(2, q - 2, q)
+        roots = set()
+        for y in product(range(q), repeat=n + 1):
+            y = Polynomial(mod, y).coeffs
+            r = _sqrt_coeffs(_smul(_mul(y, y, q), -4, q), q)
+            for z in () if r is None else (_smul(r, half, q), _smul(r, -half, q)):
+                if 2 <= len(z) <= n + 1:
+                    roots.add(((), y, z))
+        closed = {
+            (P.x.coeffs, P.y.coeffs, P.z.coeffs)
+            for P in enumerate_solutions(context(mod, a_expr), n, "degree_sorted")
+            if P.x.is_zero()
+        }
+        # two roots +-i*y for each y of degree 1..n
+        assert closed == roots and len(roots) == 2 * (q ** (n + 1) - q)
 
     def test_deterministic_order(self):
         ctx = context(P5, "t")
@@ -167,6 +196,20 @@ class TestCensus:
         assert (obj["nonfundamental_count"], obj["nonfundamental_term"]) == (840, 480)
         assert obj["nonfundamental_ratio"] == "7/4"
         assert obj["fundamental_ratio"] == "3/2"
+
+    @pytest.mark.parametrize("convention", ["degree_sorted", "ordered"])
+    @pytest.mark.parametrize(
+        "mod, a_expr, n",
+        [(P5, a, n) for a in ("t", "t+3", "t^2") for n in (1, 2, 3)]
+        + [(P13, "t", 1), (P13, "t", 2), (P7, "t", 1), (P7, "t", 2)]
+        + [(P5, "1", 1), (P5, "1", 2), (P13, "1", 1)],
+    )
+    def test_classes_match_per_triple_reference(self, mod, a_expr, n, convention):
+        ctx = context(mod, a_expr)
+        rep = census(ctx, n, convention)
+        counts = (rep.fundamental_count, rep.nonfundamental_count, rep.constant_orbit_count)
+        assert counts == census_by_triple(ctx, n, convention)
+        assert (rep.total == 0) == (mod.p % 4 == 3)  # no solution at q = 3 (mod 4)
 
     def test_split_matches_descent(self):
         ctx = context(P5, "t")
