@@ -19,8 +19,8 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 
 # The deepest layer `layer` builds; layer j has up to 2^(j-1) triples, and
-# `markoff euclid --depth 20` (every layer up to 20) takes about 23 s and
-# 272 MB.
+# `markoff euclid --depth 20` (every layer up to 20) takes 21-23 s and 272 MB
+# as JSON (two runs, Python 3.11, 2 vCPUs).
 MAX_LAYER = 20
 
 

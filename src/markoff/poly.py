@@ -296,17 +296,21 @@ def _sqrt_coeffs(f, p):
 # expression parser: integers, t, i, + - * ^, parentheses
 
 
-def parse_poly(text: str, modulus: PrimeModulus) -> Polynomial:
+def parse_poly(text: str, modulus: PrimeModulus, offset: int = 0, name: str = "") -> Polynomial:
     """Evaluate a polynomial expression in F_p[t].
 
     Grammar: sums/differences of products of powers of atoms, where an atom
     is an integer literal (ASCII digits), `t`, `i` (requires p = 1 mod 4),
     or a parenthesized expression.  `^` takes a non-negative integer literal.
+
+    When text is part of a longer argument, such as the coordinate z of a
+    triple, error positions are counted from `offset`, the position of text
+    in that argument, and error messages say "in z" for the `name` "z".
     """
-    parser = _Parser(text, modulus)
+    parser = _Parser(text, modulus, offset, f" in {name}" if name else "")
     coeffs = parser.expr()
     if parser.pos < len(text):
-        raise ParseError(f"unexpected character {text[parser.pos]!r}", parser.pos)
+        raise parser.error(f"unexpected character {text[parser.pos]!r}", parser.pos)
     return Polynomial._make(modulus, coeffs)
 
 
@@ -327,13 +331,19 @@ _DIGITS = re.compile(r"[0-9]+")
 class _Parser:
     """Recursive descent over the characters of the text, with blanks
     allowed between tokens (runs of ASCII digits, single characters); pos
-    is the position of the next character to read."""
+    is the position of the next character to read.  Errors report
+    offset + pos and add `where` to their message."""
 
-    def __init__(self, text, modulus):
+    def __init__(self, text, modulus, offset, where):
         self.text = text
         self.modulus = modulus
+        self.offset = offset
+        self.where = where
         self.pos = 0
         self.i = None  # sqrt(-1), looked up at the first 'i'
+
+    def error(self, message, pos):
+        return ParseError(message + self.where, self.offset + pos)
 
     def peek(self):
         """The next non-blank character, "" at the end; self.pos is its
@@ -413,7 +423,7 @@ class _Parser:
             self.peek()
             exponent = self.literal()
             if exponent is None:
-                raise ParseError("expected exponent", self.pos)
+                raise self.error("expected exponent", self.pos)
             if not coeffs:
                 coeffs = () if exponent else (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
                 continue
@@ -433,7 +443,7 @@ class _Parser:
         try:
             value = int(m[0])
         except ValueError:  # a run of ASCII digits fails only the int-string limit
-            raise ParseError(
+            raise self.error(
                 f"integer literal of {len(m[0])} digits is too long", self.pos
             ) from None
         self.pos = m.end()
@@ -441,7 +451,11 @@ class _Parser:
 
     def cap(self, degree, start):
         if degree > MAX_PARSE_DEGREE:
-            raise BudgetExceeded(f"term degree (position {start})", degree, MAX_PARSE_DEGREE)
+            raise BudgetExceeded(
+                f"term degree{self.where} (position {self.offset + start})",
+                degree,
+                MAX_PARSE_DEGREE,
+            )
 
     def atom(self):
         pos = self.pos  # of a non-blank character, or the end
@@ -450,7 +464,7 @@ class _Parser:
             self.pos += 1
             coeffs = self.expr()
             if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
+                raise self.error("expected ')'", self.pos)
             self.pos += 1
             return coeffs
         if char == "t":
@@ -459,12 +473,15 @@ class _Parser:
         if char == "i":
             if self.unit() is None:
                 p = self.modulus.p
-                raise IUnavailable(f"'i' at position {pos}: -1 has no square root mod {p}")
+                raise IUnavailable(
+                    f"'i'{self.where} at position {self.offset + pos}: "
+                    f"-1 has no square root mod {p}"
+                )
             self.pos += 1
             return (self.i,)
         c = self.literal()
         if c is None:
-            raise ParseError("expected integer, 't', 'i' or '('", pos)
+            raise self.error("expected integer, 't', 'i' or '('", pos)
         c %= self.modulus.p
         return (c,) if c else ()
 

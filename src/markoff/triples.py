@@ -25,12 +25,12 @@ from .errors import (
     UnclassifiableInput,
 )
 from .field import PrimeModulus, sqrt_minus_one
-from .poly import Polynomial, render_poly
+from .poly import Polynomial, _mul, _sub, render_poly
 
 # The deepest tree generate_tree builds, 2^13 - 1 nodes.  It bounds the node
 # count, not the node size: depth 12 from (t; t+2*i; t^2+2*i*t-2) at p = 13,
-# A = 1 takes about 2 s and 66 MB through the CLI, and a root of higher
-# degree makes every node larger.
+# A = 1 takes 1.1-1.6 s and 66 MB as JSON through the CLI (two runs, Python
+# 3.11, 2 vCPUs), and a root of higher degree makes every node larger.
 MAX_TREE_DEPTH = 12
 
 # The most coefficients generate_tree builds, summed over every coordinate of
@@ -183,6 +183,10 @@ def sort_triple(triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
             coords[i], coords[j] = coords[j], coords[i]
             word.append(Swap(i + 1, j + 1))
     return MarkoffTriple(*coords), tuple(word)
+
+
+def _length(c: Polynomial) -> int:
+    return len(c.coeffs)
 
 
 def is_fundamental(triple: MarkoffTriple) -> bool:
@@ -401,11 +405,25 @@ class MarkoffContext:
         return self._grow(sorted_root, None, depth)
 
     def _grow(self, triple, branch, depth):
+        """The subtree under a sorted triple, grown on coefficient tuples.
+
+        The two children are the sorted (A*z*y - x, y, z) and (x, A*x*z - y,
+        z), which share the product A*z.  Each keeps two of the parent's
+        coordinates as they are and wraps only the new one.  A stable sort on
+        coefficient length is sort_triple's order, since the zero polynomial
+        has length 0 and degree -inf; z stays, so no child is all constant.
+        """
         if depth == 0:
             return TreeNode(triple, branch, ())
-        children = tuple(
-            self._grow(sort_triple(self.apply_sigma(triple, b))[0], b, depth - 1)
-            for b in (1, 2)
+        x, y, z = triple.coords
+        p = self.p.p
+        az = _mul(self.A.coeffs, z.coeffs, p)
+        first = Polynomial._make(self.p, _sub(_mul(az, y.coeffs, p), x.coeffs, p))
+        second = Polynomial._make(self.p, _sub(_mul(az, x.coeffs, p), y.coeffs, p))
+        depth -= 1
+        children = (
+            self._grow(MarkoffTriple(*sorted((first, y, z), key=_length)), 1, depth),
+            self._grow(MarkoffTriple(*sorted((x, second, z), key=_length)), 2, depth),
         )
         return TreeNode(triple, branch, children)
 

@@ -16,7 +16,8 @@ from helpers import GOLDEN_ROOT, GOLDEN_TREE, P13, context, count_factorize_call
 from markoff import cli, euclid, oracle
 from markoff.cli import main
 from markoff.counting import MAX_COUNT_DIGITS, MAX_DIVISOR_TERMS, MAX_TRIAL_DIVISOR
-from markoff.poly import MAX_PARSE_DEGREE
+from markoff.field import PrimeModulus
+from markoff.poly import MAX_PARSE_DEGREE, parse_poly, render_poly
 from markoff.triples import MarkoffTriple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -91,8 +92,29 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == (
-            f"error: term degree (position 0) 300000000 exceeds budget {MAX_PARSE_DEGREE}\n"
+            f"error: term degree in x (position 1) 300000000 exceeds budget {MAX_PARSE_DEGREE}\n"
         )
+
+    @pytest.mark.parametrize(
+        "triple, where",
+        [
+            ("(t; t; t^300000000)", "in z (position 7)"),
+            ("(t;  t+(t+1)^300000000; t)", "in y (position 7)"),
+        ],
+    )
+    def test_oversized_term_position_is_in_the_whole_argument(self, capsys, triple, where):
+        code = main(["verify", "--p", "13", "--A", "1", "--triple", triple])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            f"error: term degree {where} 300000000 exceeds budget {MAX_PARSE_DEGREE}\n"
+        )
+
+    def test_i_without_root_names_its_coordinate(self, capsys):
+        code = main(["verify", "--p", "7", "--A", "1", "--triple", "(t; t; t+i)"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: 'i' in z at position 9: -1 has no square root mod 7\n"
 
     def test_long_literal_is_a_parse_error(self, capsys):
         code = main(["verify", "--p", "13", "--A", "1", "--triple", f"(t; t; {'1' * 5000})"])
@@ -179,12 +201,20 @@ json_scalars = st.one_of(
     st.text(),
     st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u20ac", "\U0001f600"])),
 )
+CACHED = cli.MAX_CACHED_TEXTS
 json_values = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=6),
         st.dictionaries(st.text(max_size=8), children, max_size=6),
         st.lists(st.one_of(st.integers(), st.integers(-(10**300), 10**300), st.booleans())),
+        # coefficient lists on both sides of the writer's text-cache bound
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, CACHED - 1, CACHED, 2**61 - 1, -1, -CACHED]),
+                st.integers(-2 * CACHED, 2 * CACHED),
+            )
+        ),
     ),
     max_leaves=20,
 )
@@ -220,6 +250,20 @@ class TestEmit:
         out = "".join(stdout.writes)
         assert out == json.dumps(tree.to_json(), indent=2) + "\n"
         assert max(map(len, stdout.writes)) <= len(out) / 100
+
+    def test_tree_at_a_large_prime(self, capsys):
+        # nearly every residue is above the text-cache bound; 2147483629 is
+        # the largest prime below 2^31 with a square root of -1, which the
+        # roots of both families need
+        mod = PrimeModulus(2147483629)
+        ctx = context(mod, "3*t+1234567")
+        root = ctx.make_root(parse_poly("987654321*t^2+5*t+11", mod), -1)
+        text = "(" + "; ".join(render_poly(c, "with_i") for c in root.coords) + ")"
+        code, out = run(capsys, "tree", "--p", str(mod.p), "--A", "3*t+1234567",
+                        "--root", text, "--depth", "5", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(ctx.generate_tree(root, 5).to_json(), indent=2) + "\n"
+        assert max(json.loads(out)["triple"]["z"]["coeffs"]) >= CACHED
 
 class TestDescend:
     def test_example(self, capsys):

@@ -1,7 +1,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -49,15 +49,17 @@ def nonconstant_polys(draw, mod, max_deg=3):
 CTX1 = context(P13, "1")
 CTX_T13 = context(P13, "t")
 CTX_T5 = context(P5, "t")
+CTX1_5 = context(P5, "1")
 SIGNS = st.sampled_from([1, -1])
 
 
 @st.composite
-def fundamental_forms(draw, max_deg=3):
-    """(ctx, form) over F_13: zero forms with A = t or A = 1, constant forms
-    (which need constant A) with A = 1; f of degree 1..max_deg."""
-    ctx = draw(st.sampled_from([CTX_T13, CTX1]))
-    f = draw(nonconstant_polys(P13, max_deg))
+def fundamental_forms(draw, max_deg=3, contexts=(CTX_T13, CTX1)):
+    """(ctx, form) with ctx one of contexts, over F_13 with A = t or A = 1 by
+    default: zero forms, and constant forms when A is constant; f of degree
+    1..max_deg."""
+    ctx = draw(st.sampled_from(contexts))
+    f = draw(nonconstant_polys(ctx.p, max_deg))
     if ctx.beta or draw(st.booleans()):
         return ctx, ZeroForm(f=f, sign=draw(SIGNS))
     return ctx, ConstantForm(f=f, a=draw(SIGNS), sign=draw(SIGNS))
@@ -471,11 +473,41 @@ class TestGenerateTree:
         built = sum(len(c.coeffs) for node in tree.walk() for c in node.triple.coords)
         assert predicted == built
 
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        st.one_of(fundamental_forms(contexts=(CTX_T5, CTX1_5)), fundamental_forms()),
+        st.lists(st.sampled_from([1, 2]), max_size=2),
+        st.integers(0, 4),
+    )
+    @example((CTX_T5, ZeroForm(f=parse_poly("t+1", P5), sign=1)), [], 3)
+    @example((CTX1, ZeroForm(f=parse_poly("t^2+1", P13), sign=-1)), [2], 4)
+    def test_children_are_sorted_branching_moves(self, ctx_form, branches, depth):
+        # the reference: each child is sort_triple of apply_sigma on its
+        # parent, at p = 5 and 13, for constant and non-constant A, from
+        # fundamental triples of both families and triples grown from them
+        ctx, form = ctx_form
+        root = ctx.make_fundamental(form)
+        for branch in branches:
+            root = sort_triple(ctx.apply_sigma(root, branch))[0]
+        tree = ctx.generate_tree(root, depth)
+        assert tree.triple == sort_triple(root)[0] and tree.branch is None
+        nodes = list(tree.walk())
+        assert len(nodes) == 2 ** (depth + 1) - 1
+        for node in nodes:
+            assert [child.branch for child in node.children] in ([], [1, 2])
+            for child in node.children:
+                assert child.triple == sort_triple(ctx.apply_sigma(node.triple, child.branch))[0]
+            x, y, z = node.triple.coords
+            if node.children and x.is_zero():
+                # on the zero family's x = 0 triples sigma_2 gives (0, -y, z)
+                assert node.children[1].triple == MarkoffTriple(x, -y, z)
+
     def test_size_budget_refuses_before_building(self, monkeypatch):
-        def refuse(self, triple, branch, depth):
+        def refuse(*args):
             raise AssertionError("tree built")
 
         monkeypatch.setattr(triples.MarkoffContext, "_grow", refuse)
+        monkeypatch.setattr(triples, "_mul", refuse)
         # degrees (1, 1, 3) with deg A = 1
         root = CTX_T13.make_root(parse_poly("t", P13), 1)
         with pytest.raises(BudgetExceeded) as err:
