@@ -77,13 +77,12 @@ def _signature_json(triple: MarkoffTriple) -> list:
 # made per _emit call, so its memory is bounded whatever the output: full, it
 # holds about 0.5 MB (tracemalloc, CPython 3.11).  Each residue mod p < 4096 is
 # converted once: the depth-10 tree at p = 13 writes 360,433 coefficients of 13
-# distinct values.  A coefficient list whose last int is not below the bound,
-# as at a large p, is converted by str without the cache, whose misses cost a
-# Python call each; either way every int gets its own text.  Keys are quoted
-# by json's C encoder, as json.dumps quotes a string.  Writer time against
-# str and json.dumps per value (best of 5, interleaved, 2-vCPU x86-64 host):
-# that tree 134 -> 92 ms, a depth-9 tree at p = 2147483629 52 -> 51 ms, and a
-# `count signatures --beta 1 --n 200` report 13.7 -> 10.2 us.
+# distinct values.  Any other int misses, and a miss costs a Python call more
+# than str alone.  Keys are quoted by json's C encoder, as json.dumps quotes a
+# string.  Writer time against str and json.dumps per value, best of 9 runs
+# in each of 3-5 interleaved processes (2-vCPU x86-64 host): that tree 98-150
+# -> 52-83 ms, but a depth-9 tree at p = 2147483629, where nearly every int
+# misses, 61-75 -> 84-165 ms.  No benchmark workload writes such a tree.
 MAX_CACHED_TEXTS = 1 << 12
 
 
@@ -126,8 +125,7 @@ def _write_json(value, pad, write, ints):
     else:
         inner = pad + "  "
         if set(map(type, value)) == {int}:  # a coefficient list: one piece
-            texts = map(ints.__getitem__ if 0 <= value[-1] < MAX_CACHED_TEXTS else str, value)
-            write("[" + inner + ("," + inner).join(texts) + pad + "]")
+            write("[" + inner + ("," + inner).join(map(ints.__getitem__, value)) + pad + "]")
             return
         sep = "[" + inner
         for item in value:

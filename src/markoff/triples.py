@@ -29,7 +29,7 @@ from .poly import Polynomial, _mul, _sub, render_poly
 
 # The deepest tree generate_tree builds, 2^13 - 1 nodes.  It bounds the node
 # count, not the node size: depth 12 from (t; t+2*i; t^2+2*i*t-2) at p = 13,
-# A = 1 takes 1.1-1.6 s and 66 MB as JSON through the CLI (two runs, Python
+# A = 1 takes 1.1-1.7 s and 66 MB as JSON through the CLI (four runs, Python
 # 3.11, 2 vCPUs), and a root of higher degree makes every node larger.
 MAX_TREE_DEPTH = 12
 
@@ -183,10 +183,6 @@ def sort_triple(triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
             coords[i], coords[j] = coords[j], coords[i]
             word.append(Swap(i + 1, j + 1))
     return MarkoffTriple(*coords), tuple(word)
-
-
-def _length(c: Polynomial) -> int:
-    return len(c.coeffs)
 
 
 def is_fundamental(triple: MarkoffTriple) -> bool:
@@ -409,9 +405,7 @@ class MarkoffContext:
 
         The two children are the sorted (A*z*y - x, y, z) and (x, A*x*z - y,
         z), which share the product A*z.  Each keeps two of the parent's
-        coordinates as they are and wraps only the new one.  A stable sort on
-        coefficient length is sort_triple's order, since the zero polynomial
-        has length 0 and degree -inf; z stays, so no child is all constant.
+        coordinates as they are and wraps only the new one.
         """
         if depth == 0:
             return TreeNode(triple, branch, ())
@@ -422,8 +416,8 @@ class MarkoffContext:
         second = Polynomial._make(self.p, _sub(_mul(az, x.coeffs, p), y.coeffs, p))
         depth -= 1
         children = (
-            self._grow(MarkoffTriple(*sorted((first, y, z), key=_length)), 1, depth),
-            self._grow(MarkoffTriple(*sorted((x, second, z), key=_length)), 2, depth),
+            self._grow(sort_triple(MarkoffTriple(first, y, z))[0], 1, depth),
+            self._grow(sort_triple(MarkoffTriple(x, second, z))[0], 2, depth),
         )
         return TreeNode(triple, branch, children)
 

@@ -265,6 +265,7 @@ class TestEmit:
         assert out == json.dumps(ctx.generate_tree(root, 5).to_json(), indent=2) + "\n"
         assert max(json.loads(out)["triple"]["z"]["coeffs"]) >= CACHED
 
+
 class TestDescend:
     def test_example(self, capsys):
         code, obj = run_json(
