@@ -15,7 +15,16 @@ from .counting import (
     divisors,
 )
 from .errors import MarkoffError
-from .euclid import EuclidTriple, TreeId, euclid_branch, gamma_reduce, layer, map_unit, membership
+from .euclid import (
+    EuclidTriple,
+    TreeId,
+    euclid_branch,
+    gamma_reduce,
+    layer,
+    layers,
+    map_unit,
+    membership,
+)
 from .field import PrimeModulus, sqrt_minus_one
 from .oracle import (
     CensusReport,
@@ -72,6 +81,7 @@ __all__ = [
     "gamma_reduce",
     "is_fundamental",
     "layer",
+    "layers",
     "map_unit",
     "membership",
     "oracle_C_beta",

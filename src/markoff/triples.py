@@ -443,10 +443,20 @@ class TreeNode:
             yield from child.walk()
 
     def to_json(self) -> dict:
-        return {
-            "triple": self.triple.to_json(),
-            "children": [child.to_json() for child in self.children],
-        }
+        """JSON object of the subtree.  A sigma move keeps two of its parent's
+        coordinates, so each distinct polynomial object gets one coordinate
+        object per call, shared by every triple that holds it."""
+        # keyed by id: the tree keeps every polynomial alive through the
+        # call, so no id is reused in it
+        coords = {}
+
+        def coord(c):
+            obj = coords.get(id(c))
+            if obj is None:
+                obj = coords[id(c)] = c.to_json()
+            return obj
+
+        return _node_json(self, coord)
 
     def to_dot(self, style: str = "plain") -> str:
         """DOT text.  A sigma move keeps two of its parent's coordinates, so
@@ -457,6 +467,15 @@ class TreeNode:
         _dot_parts(self, parts, render, itertools.count())
         parts.append("}")
         return "".join(parts)
+
+
+def _node_json(node: TreeNode, coord) -> dict:
+    """JSON object of node's subtree, each coordinate through coord."""
+    t = node.triple
+    return {
+        "triple": {"x": coord(t.x), "y": coord(t.y), "z": coord(t.z)},
+        "children": [_node_json(child, coord) for child in node.children],
+    }
 
 
 def _dot_parts(node: TreeNode, parts: list, render, numbers) -> int:

@@ -6,8 +6,8 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from markoff import counting
-from markoff.euclid import EuclidTriple, TreeId, on_unit_tree, root
+from markoff import counting, euclid
+from markoff.euclid import EuclidTriple, TreeId, euclid_branch, on_unit_tree, root
 from markoff.errors import AllConstant, BudgetExceeded, IUnavailable, ParseError
 from markoff.field import PrimeModulus, sqrt_minus_one
 from markoff.poly import MAX_PARSE_DEGREE, Polynomial, _mul, parse_poly, render_poly
@@ -130,6 +130,42 @@ def bfs_count_with_seen_set(tree, n):
                     nxt.append(child)
         frontier = nxt
     return count
+
+
+def layer_by_sets(tree, j):
+    """Reference layer, the `euclid.layer` that built layer j from the root
+    on its own, as a set of `EuclidTriple`s deduplicated at every step."""
+    if j < 0:
+        raise ValueError("layer index must be non-negative")
+    if j > euclid.MAX_LAYER:
+        raise BudgetExceeded("layer", j, euclid.MAX_LAYER)
+    current = {root(tree)}
+    for _ in range(j):
+        current = {euclid_branch(t, tree.beta, b) for t in current for b in (1, 2)}
+    return current
+
+
+def gamma_reduce_by_subtraction(triple):
+    """Reference gamma-reduction, the `euclid.gamma_reduce` that took one
+    subtraction per loop pass: (root, steps) of a triple with t3 = t1 + t2."""
+    t1, t2, _ = triple
+    steps = 0
+    while t1 != t2:
+        if t2 >= t1:
+            t1, t2 = t1, t2 - t1
+        else:
+            t1, t2 = t2, t1 - t2
+        steps += 1
+    return EuclidTriple(t1, t2, t1 + t2), steps
+
+
+def tree_json_by_node(node):
+    """Reference tree JSON, the `TreeNode.to_json` that built a fresh
+    coordinate object for every coordinate of every node."""
+    return {
+        "triple": node.triple.to_json(),
+        "children": [tree_json_by_node(child) for child in node.children],
+    }
 
 
 def render_by_candidates(f, style="plain"):

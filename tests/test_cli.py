@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GOLDEN_ROOT, GOLDEN_TREE, P13, context, count_factorize_calls, triple_of
+from helpers import (
+    GOLDEN_ROOT,
+    GOLDEN_TREE,
+    P13,
+    context,
+    count_factorize_calls,
+    layer_by_sets,
+    triple_of,
+)
 from markoff import cli, euclid, oracle
 from markoff.cli import main
 from markoff.counting import MAX_COUNT_DIGITS, MAX_DIVISOR_TERMS, MAX_TRIAL_DIVISOR
@@ -299,9 +307,32 @@ class TestEuclid:
         assert code == 0
         assert out.splitlines() == ["L0: (1,1,2)", "L1: (1,2,3)", "L2: (1,3,4) (2,3,5)"]
 
+    def test_output_matches_layer_by_layer(self, capsys):
+        for alpha in range(1, 5):
+            for beta in range(4):
+                tree = euclid.TreeId(alpha, beta)
+                expected = [sorted(layer_by_sets(tree, j)) for j in range(13)]
+                argv = ["euclid", "--alpha", str(alpha), "--beta", str(beta), "--depth", "12"]
+                code, out = run(capsys, *argv)
+                assert code == 0
+                assert out == json.dumps({
+                    "alpha": alpha,
+                    "beta": beta,
+                    "layers": [
+                        {"j": j, "triples": [list(t) for t in triples]}
+                        for j, triples in enumerate(expected)
+                    ],
+                }, indent=2) + "\n"
+                code, out = run(capsys, *argv, "--format", "text")
+                assert code == 0
+                assert out == "".join(
+                    f"L{j}: " + " ".join(f"({t.tau1},{t.tau2},{t.tau3})" for t in triples) + "\n"
+                    for j, triples in enumerate(expected)
+                )
+
     def test_budget_exits_three(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(euclid, "layer", lambda *args: built.append(args))
+        monkeypatch.setattr(euclid, "root", lambda *args: built.append(args))
         code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "21"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and built == []
@@ -309,7 +340,7 @@ class TestEuclid:
 
     def test_default_budget_refuses_before_any_layer(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(euclid, "layer", lambda *args: built.append(args))
+        monkeypatch.setattr(euclid, "root", lambda *args: built.append(args))
         code = main(["euclid", "--alpha", "1", "--beta", "0", "--depth", "25"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and built == []

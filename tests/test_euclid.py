@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import budget_fields, membership_by_divisors
+from helpers import (
+    budget_fields,
+    gamma_reduce_by_subtraction,
+    layer_by_sets,
+    membership_by_divisors,
+)
 from markoff import euclid
 from markoff.errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 from markoff.euclid import (
@@ -13,6 +18,7 @@ from markoff.euclid import (
     euclid_branch,
     gamma_reduce,
     layer,
+    layers,
     map_unit,
     membership,
     on_unit_tree,
@@ -76,6 +82,31 @@ class TestLayers:
         assert budget_fields(err) == ("layer", 9, 8)
 
 
+    def test_one_walk_matches_layer_by_layer(self):
+        for alpha in range(1, 5):
+            for beta in range(4):
+                tree = TreeId(alpha, beta)
+                for depth in range(13):
+                    got = layers(tree, depth)
+                    assert len(got) == depth + 1
+                    for j, triples in enumerate(got):
+                        assert triples == sorted(layer_by_sets(tree, j)), (tree, depth, j)
+                assert layer(tree, 12) == layer_by_sets(tree, 12)
+                assert all(type(t) is EuclidTriple for t in layer(tree, 12))
+
+    def test_layers_budget(self, monkeypatch):
+        with pytest.raises(BudgetExceeded) as err:
+            layers(TreeId(1, 0), 21)
+        assert budget_fields(err) == ("layer", 21, 20)
+        with pytest.raises(ValueError):
+            layers(TreeId(1, 0), -1)
+        monkeypatch.setattr(euclid, "MAX_LAYER", 8)
+        assert len(layers(TreeId(1, 0), 8)[-1]) == 2**7
+        with pytest.raises(BudgetExceeded) as err:
+            layers(TreeId(1, 0), 9)
+        assert budget_fields(err) == ("layer", 9, 8)
+
+
 class TestMapUnit:
     def test_examples(self):
         assert map_unit(EuclidTriple(1, 2, 3), TreeId(2, 1)) == (2, 5, 8)
@@ -117,6 +148,17 @@ class TestGammaReduce:
         with pytest.raises(NotEuclidSum):
             gamma_reduce(EuclidTriple(2, 3, 6))
 
+    def test_runs_match_subtraction(self):
+        for t1 in range(1, 201):
+            for t2 in range(1, 201):
+                triple = EuclidTriple(t1, t2, t1 + t2)
+                assert gamma_reduce(triple) == gamma_reduce_by_subtraction(triple), triple
+
+    def test_long_run_is_one_division(self):
+        # one step at a time, this run would take 10^18 loop passes
+        assert gamma_reduce(EuclidTriple(1, 10**18, 10**18 + 1)) == ((1, 1, 2), 10**18 - 1)
+        assert gamma_reduce(EuclidTriple(10**18, 1, 10**18 + 1)) == ((1, 1, 2), 10**18 - 1)
+
     def test_gamma_inverts_branching(self):
         # on the unit tree, stepping down then branching recovers the triple
         frontier = [EuclidTriple(1, 2, 3)]
@@ -153,6 +195,10 @@ class TestMembership:
                 tree = TreeId(alpha, beta)
                 for u in units:
                     assert membership(map_unit(u, tree), beta) == tree
+
+    def test_result_is_tree_id(self):
+        got = membership(EuclidTriple(2, 5, 8), 1)
+        assert type(got) is TreeId and got.alpha == 2 and got.beta == 1
 
     def test_off_tree_shifted(self):
         assert membership(EuclidTriple(1, 1, 2), 1) is None

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     P5,
@@ -15,6 +17,7 @@ from helpers import (
 from markoff import oracle
 from markoff.errors import AllConstant, BudgetExceeded
 from markoff.oracle import (
+    C_BETA_ORACLE_MAX_N,
     census,
     enumerate_solutions,
     oracle_C_beta,
@@ -277,6 +280,16 @@ class TestTreeOracles:
                 for alpha in range(1, (n - beta) // 2 + 2):
                     tree = TreeId(alpha, beta)
                     assert oracle._bfs_count(tree, n) == bfs_count_with_seen_set(tree, n), (tree, n)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 4), st.integers(150, C_BETA_ORACLE_MAX_N))
+    def test_run_walk_matches_formula_at_large_n(self, beta, n):
+        assert oracle_C_beta(beta, n) == count_C_beta(beta, n).value
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(1, 2000))
+    def test_run_walk_matches_coprime_count(self, n):
+        assert oracle_E_bfs(n) == oracle_E_coprime(n)
 
     def test_budgets(self):
         with pytest.raises(BudgetExceeded) as err:

@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     context,
     dot_by_node,
     root_by_closed_forms,
+    tree_json_by_node,
     triple_of,
 )
 from markoff import triples
@@ -543,6 +545,20 @@ class TestGenerateTree:
         assert tree.to_dot("with_i") == expected
         distinct = {c for node in tree.walk() for c in node.triple.coords}
         assert len(calls) == len(set(calls)) == len(distinct) < 3 * (2**5 - 1)
+
+    def test_json_shares_one_object_per_polynomial(self):
+        tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 5)
+        obj = tree.to_json()
+        assert obj == tree_json_by_node(tree)
+        assert json.dumps(obj, indent=2) == json.dumps(tree_json_by_node(tree), indent=2)
+        coords = []
+        stack = [obj]
+        while stack:
+            node = stack.pop()
+            coords += node["triple"].values()
+            stack += node["children"]
+        distinct = {id(c) for node in tree.walk() for c in node.triple.coords}
+        assert len({id(c) for c in coords}) == len(distinct) < len(coords)
 
     def test_json_and_dot(self):
         tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 1)
