@@ -7,17 +7,16 @@ beta = deg A.  With x = 0, y^2 + z^2 = 0 gives z = +-i*y in closed form,
 and no solution when q = 3 (mod 4).  The strata of pairs with x != 0 and
 beta + deg x + deg y <= n are solved through the discriminant of
 z^2 - (Axy)z + (x^2 + y^2) = 0.  `pair_count(q, beta, n)` counts both kinds
-of pair and bounds the work.  The ordered convention permutes the
-degree-sorted solutions.  The census descends only non-fundamental triples,
-once per set of coordinates, and can stream the solutions to a file one
-triple at a time.  Tree counts are recomputed by walking each tree.
+of pair and bounds the work.  Solutions stream one at a time in no fixed
+order; the census counts each set of coordinates once as it passes, and
+descends only non-fundamental sets.  Only `enumerate_solutions` and a
+solutions file sort them.  Tree counts are recomputed by walking each tree.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -30,8 +29,8 @@ from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
 from .triples import MarkoffContext, MarkoffTriple
 
 # The most candidate pairs enumerate_solutions solves; each pair gives at most
-# two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about 40 s
-# and 228 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
+# two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about 30 s
+# and 39 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
 MAX_CANDIDATE_PAIRS = 1 << 21
 
 # oracle_E_bfs(E_ORACLE_MAX_N) takes about 1.8 s (Python 3.11, 2 vCPUs)
@@ -73,21 +72,21 @@ def _check_pairs(q, beta, max_height):
 
 def _polys_of_degree(q, d):
     """Coefficient tuples of every polynomial of degree exactly d >= 0."""
-    return [low + (lead,) for lead in range(1, q) for low in product(range(q), repeat=d)]
+    return (low + (lead,) for lead in range(1, q) for low in product(range(q), repeat=d))
 
 
-def _solutions(ctx: MarkoffContext, max_height: int) -> list[tuple]:
-    """Sorted coefficient-tuple triples (x, y, z) of every degree-sorted
-    solution with every degree <= max_height, not all constant.  The caller
-    has checked the height with `_check_pairs`."""
+def _solutions(ctx: MarkoffContext, max_height: int):
+    """Coefficient-tuple triples (x, y, z) of every degree-sorted solution
+    with every degree <= max_height, not all constant, one at a time in no
+    fixed order.  The caller has checked the height with `_check_pairs`."""
     q = ctx.p.p
-    found = []
     if q % 4 == 1:
         # x = 0: z = +-i*y, and a constant y gives an all-constant triple
         i = _sqrt_int(q - 1, q)
         for d in range(1, max_height + 1):
             for y in _polys_of_degree(q, d):
-                found += ((), y, _smul(y, i, q)), ((), y, _smul(y, q - i, q))
+                yield (), y, _smul(y, i, q)
+                yield (), y, _smul(y, q - i, q)
     # x != 0: every polynomial of degree <= n - beta beside its square
     span = max_height - ctx.beta
     by_degree = [[(f, _mul(f, f, q)) for f in _polys_of_degree(q, d)] for d in range(span + 1)]
@@ -111,19 +110,28 @@ def _solutions(ctx: MarkoffContext, max_height: int) -> list[tuple]:
                     for z in roots:
                         # deg x <= deg y <= deg z <= n, and not all constant
                         if max(len(y), 2) <= len(z) <= max_len:
-                            found.append((x, y, z))
-    found.sort()
-    return found
+                            yield x, y, z
 
 
-def _triples(ctx: MarkoffContext, solutions: list[tuple], convention: str):
-    """One MarkoffTriple at a time from `_solutions`' tuples, every coordinate
-    order of them for ordered, in sorted order."""
+def _weight(triple, ordered):
+    """Solutions counted at a degree-sorted triple.  One that is not all
+    constant has distinct coordinates and at most one pair of equal degrees,
+    so one or two of its six orders are degree-sorted, the second swapping
+    that pair.  The first counts 6 (ordered) or 1 + ties, the second 0."""
+    x, y, z = triple
+    u, v = (x, y) if len(x) == len(y) else (y, z)
+    tied = len(u) == len(v)
+    return 0 if tied and u > v else 6 if ordered else 1 + tied
+
+
+def _triples(ctx: MarkoffContext, solutions, convention: str):
+    """One MarkoffTriple at a time, in sorted order, from `_solutions`'
+    tuples, or for ordered from every coordinate order of them."""
     if convention == "ordered":
-        solutions = sorted({order for triple in solutions for order in permutations(triple)})
+        solutions = (o for t in solutions if _weight(t, True) for o in permutations(t))
     mod = ctx.p
     make = Polynomial._make
-    for x, y, z in solutions:
+    for x, y, z in sorted(solutions):
         yield MarkoffTriple(make(mod, x), make(mod, y), make(mod, z))
 
 
@@ -210,30 +218,23 @@ def census(
     The d = 1 divisor term counts fundamental triples and the d > 1 terms
     count non-fundamental triples that descend to a fundamental one; members
     of constant-solution orbits form a third class with no matching term.
-    Each set of coordinates is classified once, and counted once per
-    degree-sorted triple or per ordering.  Ratios are kept exact.  Given a
-    path `solutions_out`, opened before any pair is solved, the solutions
-    of every height <= n are written there as JSON-lines.
+    Solutions are counted as they stream, each set of coordinates once, at
+    its first degree-sorted order (`_weight`).  Ratios are kept exact.  Given
+    a path `solutions_out`, opened before any pair is solved, the solutions
+    of every height <= n are sorted and written there as JSON-lines.
     """
     _check_convention(convention)
     _check_pairs(ctx.p.p, ctx.beta, n)
-    with open(solutions_out, "w", encoding="utf-8") if solutions_out else nullcontext() as fp:
-        solutions = _solutions(ctx, n)
-        if fp is not None:
+    solutions = _solutions(ctx, n)
+    if solutions_out:
+        with open(solutions_out, "w", encoding="utf-8") as fp:
+            solutions = list(solutions)
             write_solutions_jsonl(_triples(ctx, solutions, convention), fp)
 
     counts = {"fundamental": 0, "nonfundamental": 0, "constant_orbit": 0}
-    classes = {}  # sorted coordinates -> class
     for triple in solutions:
-        if len(triple[2]) != n + 1:
-            continue
-        key = tuple(sorted(triple))
-        cls = classes.get(key)
-        if cls is None:
-            cls = classes[key] = _classify(ctx, triple)
-        elif convention == "ordered":
-            continue
-        counts[cls] += len(set(permutations(triple))) if convention == "ordered" else 1
+        if len(triple[2]) == n + 1 and (weight := _weight(triple, convention == "ordered")):
+            counts[_classify(ctx, triple)] += weight
     fundamental, nonfundamental, constant_orbit = counts.values()
 
     formula = None
@@ -326,11 +327,15 @@ def _bfs_count(tree: TreeId, n: int) -> int:
     return count
 
 
-def oracle_E_bfs(n: int) -> int:
+def _check_oracle_n(n, cap):
     if n < 1:
         raise ValueError("n must be positive")
-    if n > E_ORACLE_MAX_N:
-        raise BudgetExceeded("oracle n", n, E_ORACLE_MAX_N)
+    if n > cap:
+        raise BudgetExceeded("oracle n", n, cap)
+
+
+def oracle_E_bfs(n: int) -> int:
+    _check_oracle_n(n, E_ORACLE_MAX_N)
     if n == 1:
         return 1  # by convention; the tree has no maximum below 2
     return _bfs_count(TreeId(1, 0), n)
@@ -338,10 +343,7 @@ def oracle_E_bfs(n: int) -> int:
 
 def oracle_E_coprime(n: int) -> int:
     """Independent count: pairs b <= n/2 with gcd(b, n) = 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > E_ORACLE_MAX_N:
-        raise BudgetExceeded("oracle n", n, E_ORACLE_MAX_N)
+    _check_oracle_n(n, E_ORACLE_MAX_N)
     if n == 1:
         return 1
     return sum(1 for b in range(1, n // 2 + 1) if math.gcd(b, n) == 1)
@@ -361,10 +363,7 @@ def oracle_C_beta(beta: int, n: int) -> int:
     reach maximum n, then adding one for the fundamental signature."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > C_BETA_ORACLE_MAX_N:
-        raise BudgetExceeded("oracle n", n, C_BETA_ORACLE_MAX_N)
+    _check_oracle_n(n, C_BETA_ORACLE_MAX_N)
     total = 0
     for alpha in range(1, n + 1):
         # a tree contributes only if n = d*alpha + (d-1)*beta for some d >= 2

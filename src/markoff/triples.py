@@ -9,7 +9,6 @@ reverse inverts it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -443,30 +442,32 @@ class TreeNode:
             yield from child.walk()
 
     def to_json(self) -> dict:
-        """JSON object of the subtree.  A sigma move keeps two of its parent's
-        coordinates, so each distinct polynomial object gets one coordinate
-        object per call, shared by every triple that holds it."""
-        # keyed by id: the tree keeps every polynomial alive through the
-        # call, so no id is reused in it
-        coords = {}
-
-        def coord(c):
-            obj = coords.get(id(c))
-            if obj is None:
-                obj = coords[id(c)] = c.to_json()
-            return obj
-
-        return _node_json(self, coord)
+        """JSON object of the subtree, one object per distinct coordinate."""
+        return _node_json(self, _once_per_object(Polynomial.to_json))
 
     def to_dot(self, style: str = "plain") -> str:
-        """DOT text.  A sigma move keeps two of its parent's coordinates, so
-        each distinct polynomial is rendered once per call, and every label
-        refers to that one text until the final join."""
+        """DOT text.  Each distinct coordinate is rendered once, and every
+        label refers to that one text until the final join."""
         parts = ["digraph markoff_tree {\n", '  node [shape=box, fontname="monospace"];\n']
-        render = functools.cache(lambda c: render_poly(c, style))
+        render = _once_per_object(lambda c: render_poly(c, style))
         _dot_parts(self, parts, render, itertools.count())
         parts.append("}")
         return "".join(parts)
+
+
+def _once_per_object(convert):
+    """convert, called once per distinct object.  A sigma move keeps two of
+    its parent's coordinates, so a tree shares most of its polynomials.
+    Keyed by id: the tree keeps them alive through an export, so no id recurs."""
+    done = {}
+
+    def once(c):
+        out = done.get(id(c))
+        if out is None:
+            out = done[id(c)] = convert(c)
+        return out
+
+    return once
 
 
 def _node_json(node: TreeNode, coord) -> dict:

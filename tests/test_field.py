@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,28 @@ class TestPrimeModulus:
     def test_is_prime_spot_checks(self):
         assert is_prime(2) and is_prime(97) and is_prime(2**61 - 1)
         assert not is_prime(1) and not is_prime(91) and not is_prime(2**61 - 2)
+
+    def test_is_prime_matches_sympy_below_2e5(self):
+        sympy = pytest.importorskip("sympy")
+        assert [n for n in range(2 * 10**5) if is_prime(n) != sympy.isprime(n)] == []
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (41, 43),  # 1763, past every trial divisor
+            (3, 11, 17), (7, 11, 13, 41), (5, 7, 17, 19, 73),  # Carmichael numbers
+            # strong pseudoprimes to the smallest bases; the last passes
+            # every base up to 23, so only the witnesses 29, 31, 37 reject it
+            (23, 89), (829, 1657), (2251, 11251), (151, 751, 28351), (6763, 10627, 29947),
+            (1303, 16927, 157543), (10670053, 32010157), (149491, 747451, 34233211),
+        ],
+    )
+    def test_witness_loop_rejects_pseudoprimes(self, factors):
+        assert not is_prime(math.prod(factors))
+
+    def test_rejects_composite_past_trial_division(self):
+        with pytest.raises(ValueError, match="odd prime"):
+            PrimeModulus(1763)
 
 
 class TestSqrt:

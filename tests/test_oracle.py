@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -28,6 +29,7 @@ from markoff.oracle import (
 )
 from markoff.counting import count_C_beta, count_E
 from markoff.euclid import TreeId
+from markoff.field import PrimeModulus
 from markoff.poly import Polynomial, _mul, _smul, _sqrt_coeffs
 from markoff.triples import MarkoffTriple, is_fundamental, sort_triple
 
@@ -251,6 +253,47 @@ class TestCensus:
         assert obj["fundamental_ratio"] == "1/2"
         assert obj["constant_orbit_count"] == 8
         assert obj["formula"]["value"] == 80
+
+
+RULE_AS = ("1", "2", "t", "t+3", "t^2", "2*t^2+t")
+
+
+class TestCountingRule:
+    """The facts `oracle._weight` rests on, checked on every solution that
+    `oracle._solutions` yields.  It yields every height <= n, so the largest
+    n of each field covers the smaller ones."""
+
+    @pytest.mark.parametrize(
+        "mod, a_expr, n",
+        [(P5, a, 3) for a in RULE_AS]
+        + [(P13, a, 2) for a in RULE_AS]
+        + [(PrimeModulus(17), "t", 1)],
+    )
+    def test_distinct_coordinates_and_one_tie_that_swaps(self, mod, a_expr, n):
+        found = list(oracle._solutions(context(mod, a_expr), n))
+        yielded = set(found)
+        assert found and len(yielded) == len(found)
+        for triple in found:
+            assert len(set(triple)) == 3, triple
+            tied = [(i, j) for i, j in ((0, 1), (1, 2), (0, 2)) if len(triple[i]) == len(triple[j])]
+            assert len(tied) <= 1, triple
+            for i, j in tied:
+                swapped = list(triple)
+                swapped[i], swapped[j] = triple[j], triple[i]
+                assert tuple(swapped) in yielded, triple
+
+    def test_census_holds_no_solution(self):
+        # at A = t^9 every solution of height <= 5 has x = 0: 2 * (5^6 - 5)
+        # triples, which held at once take several MiB
+        ctx = context(P5, "t^9")
+        tracemalloc.start()
+        try:
+            rep = census(ctx, 5, "degree_sorted")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.total == 2 * (5**6 - 5**5)
+        assert peak < 2**20
 
 
 class TestTreeOracles:

@@ -3,6 +3,7 @@ the README shows run, and no module imports a name it never reads."""
 
 import ast
 import importlib.util
+import json
 import os
 import shlex
 import subprocess
@@ -37,6 +38,22 @@ def test_bare_pytest_finds_the_package():
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_traced_census_grid_smoke_run():
+    # one short traced benchmark run, checked as CI checks it: every output
+    # correct, and no target absent, counter failing or exact work count
+    # differing between the two traced passes of the process
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "census_grid",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0, report
+    for pattern in ("trace target absent", "trace counter failed", "exact count"):
+        assert pattern not in result.stderr
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
