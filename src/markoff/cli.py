@@ -44,7 +44,7 @@ from .triples import ConstantForm, MarkoffContext, MarkoffTriple, ZeroForm, is_f
 
 def _context(args, prime: int) -> MarkoffContext:
     mod = PrimeModulus(prime)
-    a = parse_poly(args.A, mod)
+    a = parse_poly(args.A, mod, 0, "A")
     if a.is_zero():
         raise ValueError("--A must be a nonzero polynomial")
     return MarkoffContext(mod, a)

@@ -30,10 +30,6 @@ class NotFundamental(MarkoffError):
     """Operation requires a fundamental triple."""
 
 
-class IsFundamental(MarkoffError):
-    """Fundamental triples have no predecessor."""
-
-
 class AllConstant(MarkoffError):
     """Triple has height <= 0, so it is not a Markoff triple."""
 

@@ -225,6 +225,16 @@ def census(
     """
     _check_convention(convention)
     _check_pairs(ctx.p.p, ctx.beta, n)
+    # after _check_pairs, so a huge n is refused for its pairs, and before the
+    # file is opened, so the formula's refusal of n = 0 leaves the file as it was
+    formula = None
+    fund_term = nonfund_term = None
+    if ctx.beta >= 1:
+        formula = count_finite_field(ctx.p.p, ctx.beta, n)
+        if not formula.empty_field:
+            fund_term = sum(t.contribution for t in formula.terms if t.d == 1)
+            nonfund_term = sum(t.contribution for t in formula.terms if t.d > 1)
+
     solutions = _solutions(ctx, n)
     if solutions_out:
         with open(solutions_out, "w", encoding="utf-8") as fp:
@@ -236,14 +246,6 @@ def census(
         if len(triple[2]) == n + 1 and (weight := _weight(triple, convention == "ordered")):
             counts[_classify(ctx, triple)] += weight
     fundamental, nonfundamental, constant_orbit = counts.values()
-
-    formula = None
-    fund_term = nonfund_term = None
-    if ctx.beta >= 1:
-        formula = count_finite_field(ctx.p.p, ctx.beta, n)
-        if not formula.empty_field:
-            fund_term = sum(t.contribution for t in formula.terms if t.d == 1)
-            nonfund_term = sum(t.contribution for t in formula.terms if t.d > 1)
 
     return CensusReport(
         q=ctx.p.p,

@@ -16,7 +16,6 @@ from .errors import (
     AllConstant,
     BudgetExceeded,
     ConstantFormNeedsConstantA,
-    IsFundamental,
     IUnavailable,
     ModulusMismatch,
     NotFundamental,
@@ -288,21 +287,6 @@ class MarkoffContext:
     # ------------------------------------------------------------------
     # descent
 
-    def _rho_step(self, triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
-        """Apply rho and re-sort; return the new triple with the word applied."""
-        sorted_triple, sort_word = sort_triple(self.apply_generator(triple, RHO))
-        return sorted_triple, (RHO,) + sort_word
-
-    def predecessor(self, triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
-        """One descent step on a sorted non-fundamental solution: apply rho,
-        re-sort, and return the new triple with the word applied."""
-        if not triple.is_sorted():
-            raise ValueError("predecessor needs a degree-sorted triple")
-        self.require_solution(triple)
-        if is_fundamental(triple):
-            raise IsFundamental("fundamental triples have no predecessor")
-        return self._rho_step(triple)
-
     def descend(self, triple: MarkoffTriple) -> "DescentResult":
         """Reduce a positive-height solution to a sorted fundamental triple.
 
@@ -318,15 +302,15 @@ class MarkoffContext:
         self.require_solution(triple)
         if triple.height() <= 0:
             raise AllConstant("descent needs a triple of positive height")
-        # solutions are closed under the moves, so validate once at entry and
-        # skip predecessor's per-step checks.  The check also ends the loop:
-        # on the non-solution (1, t, t^2) at p = 13, A = 1, rho would cycle
-        # t^2 -> t - t^2 -> t^2 forever.
+        # solutions are closed under the moves, so validate once at entry, not
+        # at each step.  The check also ends the loop: on the non-solution
+        # (1, t, t^2) at p = 13, A = 1, rho would cycle t^2 -> t - t^2 -> t^2
+        # forever.
         current, word = sort_triple(triple)
         parts = list(word)
         while not is_fundamental(current):
-            current, step = self._rho_step(current)
-            parts.extend(step)
+            current, step = sort_triple(self.apply_generator(current, RHO))
+            parts += (RHO, *step)
         return DescentResult(fundamental=current, word=tuple(parts))
 
     # ------------------------------------------------------------------

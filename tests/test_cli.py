@@ -86,6 +86,12 @@ class TestVerify:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_parse_error_in_A_names_A(self, capsys):
+        code = main(["verify", "--p", "13", "--A", "2*(t", "--triple", "(t; t; t)"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: expected ')' in A (at position 4)\n"
+
     def test_bad_prime_exits_two(self, capsys):
         code = main(["verify", "--p", "9", "--A", "1", "--triple", "(1; 1; 1)"])
         assert code == 2
@@ -559,6 +565,20 @@ class TestCountSolutions:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: candidate pairs 8138021 exceeds budget 2097152\n"
         assert not path.exists()
+
+    def test_zero_n_leaves_solutions_out_unopened(self, capsys, tmp_path, monkeypatch):
+        solved = []
+        monkeypatch.setattr(oracle, "_sqrt_coeffs", lambda *args: solved.append(args))
+        path = tmp_path / "sols.jsonl"
+        path.write_bytes(b"earlier output\n")
+        code = main([
+            "count", "solutions", "--q", "5", "--A", "t", "--n", "0",
+            "--brute", "--solutions-out", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: n must be positive\n"
+        assert path.read_bytes() == b"earlier output\n" and solved == []
 
     def test_solutions_out_needs_brute(self, capsys, tmp_path, monkeypatch):
         calls = []

@@ -23,7 +23,6 @@ from markoff.errors import (
     AllConstant,
     BudgetExceeded,
     ConstantFormNeedsConstantA,
-    IsFundamental,
     IUnavailable,
     NotFundamental,
     NotSolution,
@@ -211,29 +210,26 @@ class TestIsFundamental:
 
 
 class TestPredecessor:
+    """The step descend takes: rho, then a stable degree-sort."""
+
     def test_golden_root_predecessor(self):
-        pred, word = CTX1.predecessor(triple_of(GOLDEN_ROOT, P13))
+        root = triple_of(GOLDEN_ROOT, P13)
+        pred, word = sort_triple(CTX1.apply_generator(root, RHO))
         assert pred == triple_of("(2; t; t+2*i)", P13)
-        assert word[0] == RHO
+        # pred is fundamental, so this one step is the whole descent
+        result = CTX1.descend(root)
+        assert (result.fundamental, result.word) == (pred, (RHO, *word))
 
     def test_depth_one_predecessor(self):
         # stable sort keeps t+2i ahead of t on the degree tie; the result
         # is the golden root as a coordinate multiset
-        pred, _ = CTX1.predecessor(triple_of(GOLDEN_TREE[1], P13))
+        pred, _ = sort_triple(CTX1.apply_generator(triple_of(GOLDEN_TREE[1], P13), RHO))
         assert pred == triple_of("(t+2*i; t; t^2+2*i*t-2)", P13)
         assert pred.canonical_key() == triple_of(GOLDEN_ROOT, P13).canonical_key()
 
     def test_golden_tree_edge(self):
-        pred, _ = CTX1.predecessor(triple_of(GOLDEN_TREE[6], P13))
+        pred, _ = sort_triple(CTX1.apply_generator(triple_of(GOLDEN_TREE[6], P13), RHO))
         assert pred.canonical_key() == triple_of(GOLDEN_TREE[2], P13).canonical_key()
-
-    def test_fundamental_rejected(self):
-        with pytest.raises(IsFundamental):
-            CTX1.predecessor(triple_of("(2; t+2*i; t)", P13))
-
-    def test_non_solution_rejected(self):
-        with pytest.raises(NotSolution):
-            CTX1.predecessor(triple_of("(1; t; t^2)", P13))
 
 
 class TestDescend:
