@@ -6,17 +6,21 @@ deg x <= deg y <= deg z has x = 0, or deg z = beta + deg x + deg y with
 beta = deg A.  With x = 0, y^2 + z^2 = 0 gives z = +-i*y in closed form,
 and no solution when q = 3 (mod 4).  The strata of pairs with x != 0 and
 beta + deg x + deg y <= n are solved through the discriminant of
-z^2 - (Axy)z + (x^2 + y^2) = 0.  `pair_count(q, beta, n)` counts both kinds
-of pair and bounds the work.  Solutions stream one at a time in no fixed
-order; the census counts each set of coordinates once as it passes, and
-descends only non-fundamental sets.  Only `enumerate_solutions` and a
+z^2 - (Axy)z + (x^2 + y^2) = 0, once a sieve has dropped every pair whose
+discriminant takes a non-square value at a point of F_q.  The sieve is exact:
+a square r^2 in F_q[t] takes the square value r(c)^2 at every point c.
+`pair_count(q, beta, n)` counts both kinds of pair and bounds the work.
+Solutions stream one at a time in no fixed order; the census counts each
+set of coordinates once as it passes, and descends only non-fundamental
+sets.  Only `enumerate_solutions` and a
 solutions file sort them.  Tree counts are recomputed by walking each tree.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -25,12 +29,12 @@ from .counting import CountReport, count_finite_field
 from .errors import AllConstant, BudgetExceeded
 from .euclid import TreeId, root
 from .field import _sqrt_int
-from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
+from .poly import _SLOT_CODES, Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
 from .triples import MarkoffContext, MarkoffTriple
 
-# The most candidate pairs enumerate_solutions solves; each pair gives at most
-# two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about 30 s
-# and 39 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
+# The most candidate pairs enumerate_solutions examines; each pair gives at
+# most two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about
+# 9 s and 39 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
 MAX_CANDIDATE_PAIRS = 1 << 21
 
 # oracle_E_bfs(E_ORACLE_MAX_N) takes about 1.8 s (Python 3.11, 2 vCPUs)
@@ -46,7 +50,7 @@ def _check_convention(convention: str):
 
 
 def pair_count(q: int, beta: int, max_height: int) -> int:
-    """Candidate pairs (x, y) that `enumerate_solutions` solves at this height.
+    """Candidate pairs (x, y) that `enumerate_solutions` examines at this height.
 
     That is q^(n+1) pairs with x = 0, plus (q-1)^2 * q^(a+b) pairs for each
     stratum deg x = a <= deg y = b with a + b <= n - beta.  Strata sharing
@@ -87,30 +91,55 @@ def _solutions(ctx: MarkoffContext, max_height: int):
             for y in _polys_of_degree(q, d):
                 yield (), y, _smul(y, i, q)
                 yield (), y, _smul(y, q - i, q)
-    # x != 0: every polynomial of degree <= n - beta beside its square
     span = max_height - ctx.beta
-    by_degree = [[(f, _mul(f, f, q)) for f in _polys_of_degree(q, d)] for d in range(span + 1)]
+    if span < 0:
+        return
+    # x != 0: disc = (Axy)^2 - 4(x^2 + y^2) = u*y^2 - v with u = (Ax)^2 - 4
+    # and v = 4x^2.  A pair whose disc(c) is a non-square at some point c is
+    # dropped unsolved.  Every polynomial of degree <= n - beta is held beside
+    # its square and that square's values at the points, in the narrowest
+    # array slot, one array shared by all polynomials with equal values, so
+    # that at q = 5 at most 3^5 arrays are held.
+    squares = {c * c % q for c in range(q)}
+    powers = [[pow(c, e, q) for e in range(max_height + 1)] for c in range(q)]
+    code = _SLOT_CODES[(q.bit_length() + 7) // 8]
+    seen = {}
+
+    def square_values(f):
+        values = array(code, [sum(map(operator.mul, f, row)) ** 2 % q for row in powers])
+        return seen.setdefault(values.tobytes(), values)
+
+    by_degree = [
+        [(f, _mul(f, f, q), square_values(f)) for f in _polys_of_degree(q, d)]
+        for d in range(span + 1)
+    ]
     a_coeffs = ctx.A.coeffs
+    a2 = square_values(a_coeffs)
     inv2 = pow(2, q - 2, q)
     max_len = max_height + 1
     for a in range(span + 1):
         for b in range(a, span - a + 1):
-            for x, x2 in by_degree[a]:
+            for x, x2, xv in by_degree[a]:
                 ax = _mul(a_coeffs, x, q)
-                for y, y2 in by_degree[b]:
-                    s = _mul(ax, y, q)
-                    c = _add(x2, y2, q)
-                    disc = _sub(_mul(s, s, q), _smul(c, 4, q), q)
-                    r = _sqrt_coeffs(disc, q)
-                    if r is None:
-                        continue
-                    roots = (_smul(_add(s, r, q), inv2, q),)
-                    if r:
-                        roots += (_smul(_sub(s, r, q), inv2, q),)
-                    for z in roots:
-                        # deg x <= deg y <= deg z <= n, and not all constant
-                        if max(len(y), 2) <= len(z) <= max_len:
-                            yield x, y, z
+                u = _sub(_mul(ax, ax, q), (4,), q)
+                v = _smul(x2, 4, q)
+                uv = [((ac * xc - 4) % q, 4 * xc % q) for ac, xc in zip(a2, xv)]
+                for y, y2, yv in by_degree[b]:
+                    for (uc, vc), yc in zip(uv, yv):
+                        if (uc * yc - vc) % q not in squares:
+                            break
+                    else:
+                        r = _sqrt_coeffs(_sub(_mul(u, y2, q), v, q), q)
+                        if r is None:
+                            continue
+                        s = _mul(ax, y, q)
+                        roots = (_smul(_add(s, r, q), inv2, q),)
+                        if r:
+                            roots += (_smul(_sub(s, r, q), inv2, q),)
+                        for z in roots:
+                            # deg x <= deg y <= deg z <= n, and not all constant
+                            if max(len(y), 2) <= len(z) <= max_len:
+                                yield x, y, z
 
 
 def _weight(triple, ordered):
@@ -151,10 +180,14 @@ def enumerate_solutions(
 
 
 def write_solutions_jsonl(solutions, fp):
-    """Stream triples as JSON-lines, one triple JSON object per line."""
+    """Stream triples as JSON-lines, one triple JSON object per line: the
+    text of json.dumps(triple.to_json(), separators=(",", ":")), built by
+    joining the coefficients."""
     for triple in solutions:
-        fp.write(json.dumps(triple.to_json(), separators=(",", ":")))
-        fp.write("\n")
+        fp.write('{"x":%s,"y":%s,"z":%s}\n' % tuple(
+            '{"p":%d,"coeffs":[%s]}' % (f.modulus.p, ",".join(map(str, f.coeffs)))
+            for f in (triple.x, triple.y, triple.z)
+        ))
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,19 @@ from hypothesis import strategies as st
 from markoff import counting, euclid
 from markoff.euclid import EuclidTriple, TreeId, euclid_branch, on_unit_tree, root
 from markoff.errors import AllConstant, BudgetExceeded, IUnavailable, ParseError
-from markoff.field import PrimeModulus, sqrt_minus_one
-from markoff.poly import MAX_PARSE_DEGREE, Polynomial, _mul, parse_poly, render_poly
-from markoff.oracle import enumerate_solutions
+from markoff.field import PrimeModulus, _sqrt_int, sqrt_minus_one
+from markoff.poly import (
+    MAX_PARSE_DEGREE,
+    Polynomial,
+    _add,
+    _mul,
+    _smul,
+    _sqrt_coeffs,
+    _sub,
+    parse_poly,
+    render_poly,
+)
+from markoff.oracle import _polys_of_degree, enumerate_solutions
 from markoff.triples import MarkoffContext, MarkoffTriple, is_fundamental
 
 P5 = PrimeModulus(5)
@@ -106,6 +116,43 @@ def census_by_triple(ctx, n, convention):
         else:
             nonfundamental += 1
     return fundamental, nonfundamental, constant_orbit
+
+
+def value_at(f: Polynomial, c: int) -> int:
+    """The value of f at the point c of F_p."""
+    return sum(k * c**e for e, k in enumerate(f.coeffs)) % f.modulus.p
+
+
+def solutions_by_discriminant(ctx, max_height):
+    """Reference enumerator, the loop `oracle._solutions` ran before it
+    sieved pairs by their discriminant's values on F_q: the set of
+    coefficient-tuple degree-sorted solutions of height <= max_height, not
+    all constant, every x != 0 pair solved through the square root of
+    (Axy)^2 - 4(x^2 + y^2)."""
+    q = ctx.p.p
+    found = set()
+    if q % 4 == 1:
+        i = _sqrt_int(q - 1, q)
+        for d in range(1, max_height + 1):
+            for y in _polys_of_degree(q, d):
+                found.update({((), y, _smul(y, i, q)), ((), y, _smul(y, q - i, q))})
+    span = max_height - ctx.beta
+    by_degree = [[(f, _mul(f, f, q)) for f in _polys_of_degree(q, d)] for d in range(span + 1)]
+    inv2 = pow(2, q - 2, q)
+    for a in range(span + 1):
+        for b in range(a, span - a + 1):
+            for x, x2 in by_degree[a]:
+                ax = _mul(ctx.A.coeffs, x, q)
+                for y, y2 in by_degree[b]:
+                    s = _mul(ax, y, q)
+                    disc = _sub(_mul(s, s, q), _smul(_add(x2, y2, q), 4, q), q)
+                    r = _sqrt_coeffs(disc, q)
+                    if r is None:
+                        continue
+                    for z in {_smul(_add(s, r, q), inv2, q), _smul(_sub(s, r, q), inv2, q)}:
+                        if max(len(y), 2) <= len(z) <= max_height + 1:
+                            found.add((x, y, z))
+    return found
 
 
 def bfs_count_with_seen_set(tree, n):

@@ -1,3 +1,5 @@
+import io
+import json
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
@@ -14,6 +16,9 @@ from helpers import (
     budget_fields,
     census_by_triple,
     context,
+    nonconstant_polys,
+    solutions_by_discriminant,
+    value_at,
 )
 from markoff import oracle
 from markoff.errors import AllConstant, BudgetExceeded
@@ -138,8 +143,20 @@ class TestEnumerate:
         monkeypatch.setattr(oracle, "_sqrt_coeffs", counted)
         ctx = context(P5, a_expr)
         enumerate_solutions(ctx, n, "ordered")
-        # the q^(n+1) pairs with x = 0 are solved in closed form
-        assert len(solved) == pair_count(5, ctx.beta, n) - 5 ** (n + 1)
+        # the q^(n+1) pairs with x = 0 are solved in closed form; of the
+        # others, those whose discriminant is a square at every point of F_q
+        # are solved once each
+        span = n - ctx.beta
+        nonzero = [Polynomial(P5, c) for c in product(range(5), repeat=span + 1) if any(c)]
+        squares = {c * c % 5 for c in range(5)}
+        pairs = squares_everywhere = 0
+        for x, y in product(nonzero, repeat=2):
+            if x.degree <= y.degree and x.degree + y.degree <= span:
+                pairs += 1
+                disc = (ctx.A * x * y) ** 2 - (x * x + y * y).scalar_mul(4)
+                squares_everywhere += all(value_at(disc, c) in squares for c in range(5))
+        assert pairs == pair_count(5, ctx.beta, n) - 5 ** (n + 1)
+        assert len(solved) == squares_everywhere
 
     @pytest.mark.parametrize("mod, a_expr, n", [(P5, "t", 2), (P13, "t^2", 1)])
     def test_zero_x_family_is_the_discriminant_roots(self, mod, a_expr, n):
@@ -168,6 +185,58 @@ class TestEnumerate:
         assert first == second
         keys = [(P.x.coeffs, P.y.coeffs, P.z.coeffs) for P in first]
         assert keys == sorted(keys)
+
+
+class TestSieve:
+    """`_solutions` drops a pair whose discriminant takes a non-square value
+    at a point of F_q before solving it; it must drop no solution."""
+
+    @pytest.mark.parametrize(
+        "q, a_expr, n",
+        [
+            *((5, a, 4) for a in ("t", "t+3", "t^2", "2*t^2+t", "t^3+2")),
+            (5, "1", 3),
+            (5, "2", 3),
+            (13, "t", 2),
+            (13, "1", 2),
+            (17, "t", 2),
+            (29, "t", 2),
+            (7, "t", 3),
+            (3, "1", 3),
+        ],
+    )
+    def test_drops_no_solution(self, q, a_expr, n):
+        ctx = context(PrimeModulus(q), a_expr)
+        solutions = list(oracle._solutions(ctx, n))
+        assert len(set(solutions)) == len(solutions)
+        assert set(solutions) == solutions_by_discriminant(ctx, n)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from([P5, P7, P13, PrimeModulus(3)]), st.data())
+    def test_a_square_takes_only_square_values(self, mod, data):
+        q = mod.p
+        squares = {c * c % q for c in range(q)}
+        g = data.draw(nonconstant_polys(mod, 4))
+        assert all(value_at(g * g, c) in squares for c in range(q))
+        # g^2 plus a small change: often a square's leading terms, rarely a square
+        h = Polynomial(mod, data.draw(st.lists(st.integers(0, q - 1), max_size=3)))
+        f = g * g + h
+        if any(value_at(f, c) not in squares for c in range(q)):
+            assert _sqrt_coeffs(f.coeffs, q) is None
+
+
+class TestWriteSolutions:
+    def test_lines_are_the_json_dumps_bytes(self):
+        big = PrimeModulus(2**31 + 11)  # above 2^31
+        triples = enumerate_solutions(context(P5, "t"), 1, "ordered")[:40] + [
+            MarkoffTriple(Polynomial(big, ()), Polynomial(big, (2**31, 1)), Polynomial(big, (7,))),
+            MarkoffTriple(Polynomial(P13, (0, 0, 12)), Polynomial(P13, (1,)), Polynomial(P13, ())),
+        ]
+        assert any(not P.x.coeffs for P in triples)
+        fp = io.StringIO()
+        oracle.write_solutions_jsonl(iter(triples), fp)
+        expected = "".join(json.dumps(P.to_json(), separators=(",", ":")) + "\n" for P in triples)
+        assert fp.getvalue() == expected
 
 
 class TestCensus:
