@@ -21,7 +21,10 @@ more divisors than the divisor-terms cap.
 
 There is one parser per process: `build_parser` builds it on the first
 call of `main` and every later call reuses it.  Nothing mutates it, and
-each parse fills a fresh Namespace.
+each parse fills a fresh Namespace.  A well-formed command is parsed by its
+leaf subparser alone, found from its first one or two words.  When argv
+names no leaf, or the leaf leaves arguments over, the full parser parses
+argv again, so every usage error, help text and exit code is argparse's own.
 """
 
 from __future__ import annotations
@@ -263,7 +266,8 @@ def cmd_count_solutions(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser, and the leaf subparser of each command's words."""
     parser = argparse.ArgumentParser(
         prog="markoff",
         description="Markoff triples over F_p[t]: verification, trees, descent, counting.",
@@ -320,11 +324,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sol.set_defaults(func=cmd_count_solutions)
 
-    return parser
+    leaves = {("verify",): p_verify, ("tree",): p_tree, ("descend",): p_descend,
+              ("euclid",): p_euclid, ("count", "signatures"): p_sig,
+              ("count", "solutions"): p_sol}
+    return parser, leaves
+
+
+def _parse(argv):
+    """argv's Namespace, from its leaf subparser if that leaves nothing over."""
+    parser, leaves = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    for k in (1, 2):
+        leaf = leaves.get(tuple(argv[:k]))
+        if leaf is not None:
+            args, extra = leaf.parse_known_args(argv[k:])
+            if not extra:
+                return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

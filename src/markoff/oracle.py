@@ -37,7 +37,8 @@ from .triples import MarkoffContext, MarkoffTriple
 # 9 s and 39 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
 MAX_CANDIDATE_PAIRS = 1 << 21
 
-# oracle_E_bfs(E_ORACLE_MAX_N) takes about 1.8 s (Python 3.11, 2 vCPUs)
+# oracle_E_bfs(E_ORACLE_MAX_N) takes about 2.3 s (median of 7 processes, best of
+# 3 runs each; Python 3.11 on 2 vCPUs shared with other jobs)
 E_ORACLE_MAX_N = 10**4
 C_BETA_ORACLE_MAX_N = 500
 
@@ -331,8 +332,14 @@ def _bfs_count(tree: TreeId, n: int) -> int:
     vertex is the branch-1 child of a run member: of the vertex itself,
     (t2, t3, t2 + t3 + beta), or of its k-th step for k >= 1,
     (u, u + s, 2u + s + beta) with u = t3 + (k-1)s.  Those children start
-    runs of their own, and the walk pushes only those whose maximum is at
+    runs of their own, and the walk takes only those whose maximum is at
     most n.
+
+    Most of those children are frontier vertices, counted where they are
+    found and never pushed.  A child (a, b, c) whose branch-1 child has
+    maximum b + c + beta > n has no descendant of maximum <= n, since the
+    first branch-1 child along its run has maximum 2c + a + 2*beta, larger
+    by 2(a + beta).  Its only test is its run's: does a + beta divide n - c?
 
     No vertex is reached twice, so the walk keeps no visited set: every
     vertex has t1 <= t2 < t3, with t1 = t2 only at the root, and one
@@ -352,12 +359,20 @@ def _bfs_count(tree: TreeId, n: int) -> int:
         s = t1 + beta
         if t3 <= n and (n - t3) % s == 0:
             count += 1
-        if t1 < t2 and t2 + t3 + beta <= n:
-            push((t2, t3, t2 + t3 + beta))
+        top = t2 + t3 + beta
+        if t1 < t2 and top <= n:
+            if t3 + top + beta <= n:
+                push((t2, t3, top))
+            elif (n - top) % (t2 + beta) == 0:
+                count += 1
         u, top = t3, 2 * t3 + s + beta
         while top <= n:
-            push((u, u + s, top))
-            u += s
+            v = u + s
+            if v + top + beta <= n:
+                push((u, v, top))
+            elif (n - top) % (u + beta) == 0:
+                count += 1
+            u = v
             top += 2 * s
     return count
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from helpers import (
     context,
     count_factorize_calls,
     layer_by_sets,
+    readme_commands,
     triple_of,
 )
 from markoff import cli, euclid, oracle
@@ -693,3 +695,84 @@ class TestParserReuse:
         assert built.count("markoff") == len(MIXED_CALLS)
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 2, 0, 3, 0, 0, 0, 0, 0]
+
+
+EXTRA = ["count", "solutions", "--q", "5", "--A", "t", "--n", "2", "extra"]
+
+# usage errors, help at each level, extra positionals and options,
+# abbreviations, --x=y and --, beside well-formed calls of every command
+LEAF_CORPUS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["count"],
+    ["count", "-h"],
+    ["count", "bogus"],
+    ["verify", "-h"],
+    ["tree", "--help"],
+    ["descend", "-h"],
+    ["euclid", "--help"],
+    ["count", "signatures", "-h"],
+    ["count", "solutions", "--help"],
+    ["coun", "signatures", "--beta", "1", "--n", "5"],
+    ["count", "sig", "--beta", "1", "--n", "5"],
+    ["count", "signatures", "--be", "1", "--n", "5"],
+    ["count", "signatures", "--beta=1", "--n=5"],
+    ["count", "signatures", "--beta", "1"],
+    ["count", "signatures", "--beta", "1", "--n", "5", "--H", "5"],
+    ["count", "signatures", "--beta", "x", "--n", "5"],
+    ["count", "signatures", "--beta", "-1", "--n", "5"],
+    ["count", "signatures", "--n", "5", "--beta", "1", "extra", "more"],
+    EXTRA,
+    ["count", "solutions", "--q", "5", "--A", "t", "--n", "2", "--bogus"],
+    ["count", "solutions", "--q", "5", "--A", "t", "--n", "2", "--bogus=3"],
+    ["count", "solutions", "--q", "5", "--A", "t", "--n", "2", "-h", "extra"],
+    ["count", "solutions", "--q", "5", "--A", "-t", "--n", "2"],
+    ["count", "solutions", "--q", "5", "--A=-t", "--n", "2"],
+    ["count", "solutions", "--q", "5", "--A", "t", "--n", "2", "--conv", "ordered", "--brute"],
+    ["verify", "--triple"],
+    ["verify", "--p", "13", "--A", "1", "--triple", "(t; t; t)"],
+    ["verify", "--p", "13", "--A", "1", "--triple", "(t; t; t)", "--", "x"],
+    ["verify", "--", "--p", "13", "--A", "1", "--triple", "(t; t; t)"],
+    ["--", "verify", "--p", "13", "--A", "1", "--triple", "(t; t; t)"],
+    ["verify", "--p", "7", "--p", "13", "--A", "1", "--triple", GOLDEN_ROOT],
+    ["tree", "--p", "13", "--A", "1", "--root", GOLDEN_ROOT, "--depth", "1", "--format", "xml"],
+    ["tree", "--p", "13", "--A", "1", "--root", GOLDEN_ROOT, "--depth", "1", "--form", "dot"],
+    ["descend", "--p", "13", "--A", "1", "--triple", GOLDEN_TREE[1], "-x"],
+    ["euclid", "--alpha", "1", "--beta", "0"],
+    ["euclid", "--alpha", "1", "--beta", "0", "--depth", "2", "--format", "text"],
+    ["euclid", "--alpha", "1", "--beta", "0", "--depth", "-1"],
+)
+
+
+class TestLeafDispatch:
+    def test_same_outputs_as_the_full_parser(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        corpus = list(LEAF_CORPUS)
+        corpus += [shlex.split(line.split(" > ", 1)[0])[1:] for line in readme_commands()]
+        leaf = [call(capsys, argv) for argv in corpus]
+        parser, _ = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))  # no leaf: full parser
+        assert [call(capsys, argv) for argv in corpus] == leaf
+        assert {code for code, _, _ in leaf} == {0, 1, 2}
+
+    @pytest.mark.parametrize("argv", [MIXED_CALLS[1], EXTRA, []])
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, argv):
+        expected = call(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["markoff", *argv])
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, *capsys.readouterr()) == expected
+
+    def test_only_a_malformed_command_reaches_the_full_parser(self, capsys, monkeypatch):
+        parser, _ = cli.build_parser()
+        full = []
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: full.append(argv) or parse_args(argv))
+        assert {call(capsys, argv)[0] for argv in MIXED_CALLS} == {0, 1, 2, 3}
+        assert full == []
+        assert call(capsys, EXTRA)[0] == 2
+        assert full == [EXTRA]
