@@ -100,8 +100,8 @@ class _IntTexts(dict):
 
 
 def _emit(obj):
-    """Print obj as indent-2 JSON, a newline after it, piece by piece, so
-    that the document is never held as one string.  Dict keys are strings."""
+    """Print obj as indent-2 JSON, tuples as lists, and a newline, piece by
+    piece, so that the document is never held as one string; keys are strings."""
     write = sys.stdout.write
     _write_json(obj, "\n", write, _IntTexts())
     write("\n")
@@ -113,7 +113,7 @@ def _write_json(value, pad, write, ints):
     kind = type(value)
     if kind is int:
         write(ints[value])
-    elif kind is not dict and kind is not list:
+    elif kind is not dict and kind is not list and kind is not tuple:
         write(json.dumps(value))
     elif not value:
         write("{}" if kind is dict else "[]")
@@ -218,10 +218,7 @@ def cmd_euclid(args) -> int:
             {
                 "alpha": args.alpha,
                 "beta": args.beta,
-                "layers": [
-                    {"j": j, "triples": [list(t) for t in triples]}
-                    for j, triples in enumerate(layers)
-                ],
+                "layers": [{"j": j, "triples": triples} for j, triples in enumerate(layers)],
             }
         )
     return 0

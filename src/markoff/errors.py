@@ -31,7 +31,13 @@ class NotFundamental(MarkoffError):
 
 
 class AllConstant(MarkoffError):
-    """Triple has height <= 0, so it is not a Markoff triple."""
+    """A triple has height <= 0.  Descent raises it with its input and the
+    constant triple it reaches, rendered only if printed; the census counts it."""
+
+    def __str__(self):
+        if len(self.args) != 2:
+            return super().__str__()
+        return "{} descends to the constant solution {}".format(*(t.render() for t in self.args))
 
 
 class UnclassifiableInput(MarkoffError):

@@ -309,7 +309,9 @@ class MarkoffContext:
         current, word = sort_triple(triple)
         parts = list(word)
         while not is_fundamental(current):
-            current, step = sort_triple(self.apply_generator(current, RHO))
+            if (image := self.apply_generator(current, RHO)).height() <= 0:
+                raise AllConstant(triple, image)
+            current, step = sort_triple(image)
             parts += (RHO, *step)
         return DescentResult(fundamental=current, word=tuple(parts))
 

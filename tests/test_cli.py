@@ -222,6 +222,9 @@ json_values = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=6),
+        # plain tuples, written as lists: nested, empty and all-int ones
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(st.integers(-2 * CACHED, 2 * CACHED), max_size=6).map(tuple),
         st.dictionaries(st.text(max_size=8), children, max_size=6),
         st.lists(st.one_of(st.integers(), st.integers(-(10**300), 10**300), st.booleans())),
         # coefficient lists on both sides of the writer's text-cache bound

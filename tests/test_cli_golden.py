@@ -82,7 +82,7 @@ GOLDEN = {
     ),
     "descend-constant-orbit": (
         ["descend", "--p", "5", "--A", "t", "--triple", "(1; 2; 2*t)"],
-        2, EMPTY, "error: all coordinates are constant\n", {},
+        2, EMPTY, "error: (1, 2, 2*t) descends to the constant solution (1, 2, 0)\n", {},
     ),
     "verify-no-parentheses": (
         ["verify", "--p", "13", "--A", "1", "--triple", "t; t; t"],

@@ -91,6 +91,10 @@ class TestLayers:
                     assert len(got) == depth + 1
                     for j, triples in enumerate(got):
                         assert triples == sorted(layer_by_sets(tree, j)), (tree, depth, j)
+                    # the facts the one root rule rests on
+                    assert got[0] == [root(tree)] and type(got[0][0]) is tuple
+                    assert depth == 0 or len(got[1]) == 1
+                    assert all(t1 < t2 for triples in got[2:] for t1, t2, _ in triples)
                 assert layer(tree, 12) == layer_by_sets(tree, 12)
                 assert all(type(t) is EuclidTriple for t in layer(tree, 12))
 

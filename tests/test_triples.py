@@ -274,11 +274,16 @@ class TestDescend:
 
     def test_constant_orbit_has_no_fundamental(self):
         # (1, 2, 2t) = rho(1, 2, 0) over F_5, A = t: descent dead-ends on an
-        # all-constant triple instead of a fundamental one
-        orbit_member = triple_of("(1; 2; 2*t)", P5)
-        assert CTX_T5.is_solution(orbit_member)
-        with pytest.raises(AllConstant):
-            CTX_T5.descend(orbit_member)
+        # all-constant triple instead of a fundamental one; its sigma_1 image
+        # takes two rho steps, and the message names the input
+        for text, constant in (("(1; 2; 2*t)", "(1, 2, 0)"), ("(4*t^2+4; 2; 2*t)", "(2, 1, 0)")):
+            orbit_member = triple_of(text, P5)
+            assert CTX_T5.is_solution(orbit_member)
+            with pytest.raises(AllConstant) as err:
+                CTX_T5.descend(orbit_member)
+            assert str(err.value) == (
+                f"{orbit_member.render()} descends to the constant solution {constant}"
+            )
 
     def test_non_solution_rejected(self):
         with pytest.raises(NotSolution):
