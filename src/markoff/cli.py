@@ -210,9 +210,11 @@ def cmd_euclid(args) -> int:
         raise ValueError(f"--depth must be non-negative, got {args.depth}")
     layers = euclid_mod.layers(euclid_mod.TreeId(args.alpha, args.beta), args.depth)
     if args.format == "text":
+        out = sys.stdout
         for j, triples in enumerate(layers):
-            row = " ".join(f"({t1},{t2},{t3})" for t1, t2, t3 in triples)
-            print(f"L{j}: {row}")
+            out.write(f"L{j}:")
+            out.writelines(" (%d,%d,%d)" % t for t in triples)
+            out.write("\n")
     else:
         _emit(
             {

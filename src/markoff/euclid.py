@@ -19,8 +19,8 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 
 # The deepest layer `layers` builds; layer j has up to 2^(j-1) triples, and
-# `markoff euclid --depth 20` takes 2.7-3.3 s at 124 MB as JSON and 1.3 s at
-# 175 MB as text (two runs each, Python 3.11, 2 shared vCPUs).
+# `markoff euclid --depth 20` takes 3.6-3.9 s as JSON and 1.5-1.9 s as text,
+# both at 123 MB (Python 3.11, 2 shared vCPUs, buffered stdout).
 MAX_LAYER = 20
 
 

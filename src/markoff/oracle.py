@@ -1,19 +1,19 @@
 """Brute-force ground truth, independent of the closed-form counts.
 
-Solutions over F_q[t] of height <= n are enumerated as triples of
-coefficient tuples.  By the degree lemma, a solution with
+Solutions over F_q[t] are enumerated one height n >= 1 at a time, as
+triples of coefficient tuples.  By the degree lemma, a solution with
 deg x <= deg y <= deg z has x = 0, or deg z = beta + deg x + deg y with
 beta = deg A.  With x = 0, y^2 + z^2 = 0 gives z = +-i*y in closed form,
 and no solution when q = 3 (mod 4).  The strata of pairs with x != 0 and
-beta + deg x + deg y <= n are solved through the discriminant of
+beta + deg x + deg y = n are solved through the discriminant of
 z^2 - (Axy)z + (x^2 + y^2) = 0, once a sieve has dropped every pair whose
 discriminant takes a non-square value at a point of F_q.  The sieve is exact:
 a square r^2 in F_q[t] takes the square value r(c)^2 at every point c.
-`pair_count(q, beta, n)` counts both kinds of pair and bounds the work.
-Solutions stream one at a time in no fixed order; the census counts each
-set of coordinates once as it passes, and descends only non-fundamental
-sets.  Only `enumerate_solutions` and a
-solutions file sort them.  Tree counts are recomputed by walking each tree.
+The census examines the height-n strata alone; a solutions file and
+`enumerate_solutions` examine every height <= n; `pair_count` bounds both.
+Solutions stream in no fixed order, and the census counts each set of
+coordinates once as it passes and descends only non-fundamental sets.
+Tree counts are recomputed by walking each tree.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .counting import CountReport, count_finite_field
 from .errors import AllConstant, BudgetExceeded
@@ -32,9 +32,9 @@ from .field import _sqrt_int
 from .poly import _SLOT_CODES, Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
 from .triples import MarkoffContext, MarkoffTriple
 
-# The most candidate pairs enumerate_solutions examines; each pair gives at
-# most two solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about
-# 9 s and 39 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
+# The most candidate pairs `pair_count` admits; each pair gives at most two
+# solutions.  (q, A, n) = (5, t, 7), 1,575,521 pairs, takes about 6 s and
+# 39 MB through the CLI; (5, t, 8), 8,138,021 pairs, is refused.
 MAX_CANDIDATE_PAIRS = 1 << 21
 
 # oracle_E_bfs(E_ORACLE_MAX_N) takes about 2.3 s (median of 7 processes, best of
@@ -51,11 +51,11 @@ def _check_convention(convention: str):
 
 
 def pair_count(q: int, beta: int, max_height: int) -> int:
-    """Candidate pairs (x, y) that `enumerate_solutions` examines at this height.
-
-    That is q^(n+1) pairs with x = 0, plus (q-1)^2 * q^(a+b) pairs for each
-    stratum deg x = a <= deg y = b with a + b <= n - beta.  Strata sharing
-    s = a + b are counted together: there are s//2 + 1 of them.
+    """Candidate pairs (x, y) of every height <= n: q^(n+1) pairs with x = 0,
+    plus (q-1)^2 * q^(a+b) pairs for each stratum deg x = a <= deg y = b
+    with a + b <= n - beta.  Strata sharing s = a + b are counted together:
+    there are s//2 + 1 of them.  This bounds the pairs that the census, at
+    height n alone, a solutions file and `enumerate_solutions` examine.
     """
     return q ** (max_height + 1) + (q - 1) ** 2 * sum(
         (s // 2 + 1) * q**s for s in range(max_height - beta + 1)
@@ -80,29 +80,29 @@ def _polys_of_degree(q, d):
     return (low + (lead,) for lead in range(1, q) for low in product(range(q), repeat=d))
 
 
-def _solutions(ctx: MarkoffContext, max_height: int):
-    """Coefficient-tuple triples (x, y, z) of every degree-sorted solution
-    with every degree <= max_height, not all constant, one at a time in no
-    fixed order.  The caller has checked the height with `_check_pairs`."""
+def _solutions(ctx: MarkoffContext, height: int):
+    """Coefficient-tuple degree-sorted solutions of height `height` >= 1, none
+    all constant, in no fixed order, after `_check_pairs`.  With x != 0 the
+    roots z sum to Axy, of degree `height`, and multiply to x^2 + y^2, of
+    degree <= 2 deg y: one has degree `height`, the other too or below deg y."""
     q = ctx.p.p
     if q % 4 == 1:
-        # x = 0: z = +-i*y, and a constant y gives an all-constant triple
+        # x = 0: z = +-i*y
         i = _sqrt_int(q - 1, q)
-        for d in range(1, max_height + 1):
-            for y in _polys_of_degree(q, d):
-                yield (), y, _smul(y, i, q)
-                yield (), y, _smul(y, q - i, q)
-    span = max_height - ctx.beta
+        for y in _polys_of_degree(q, height):
+            yield (), y, _smul(y, i, q)
+            yield (), y, _smul(y, q - i, q)
+    span = height - ctx.beta
     if span < 0:
         return
     # x != 0: disc = (Axy)^2 - 4(x^2 + y^2) = u*y^2 - v with u = (Ax)^2 - 4
     # and v = 4x^2.  A pair whose disc(c) is a non-square at some point c is
-    # dropped unsolved.  Every polynomial of degree <= n - beta is held beside
-    # its square and that square's values at the points, in the narrowest
-    # array slot, one array shared by all polynomials with equal values, so
-    # that at q = 5 at most 3^5 arrays are held.
+    # dropped unsolved.  Every polynomial of degree <= span is held beside its
+    # square and that square's values at the points, in the narrowest array
+    # slot, one array shared by all polynomials with equal values, so that at
+    # q = 5 at most 3^5 arrays are held.
     squares = {c * c % q for c in range(q)}
-    powers = [[pow(c, e, q) for e in range(max_height + 1)] for c in range(q)]
+    powers = [[pow(c, e, q) for e in range(height + 1)] for c in range(q)]
     code = _SLOT_CODES[(q.bit_length() + 7) // 8]
     seen = {}
 
@@ -117,30 +117,27 @@ def _solutions(ctx: MarkoffContext, max_height: int):
     a_coeffs = ctx.A.coeffs
     a2 = square_values(a_coeffs)
     inv2 = pow(2, q - 2, q)
-    max_len = max_height + 1
-    for a in range(span + 1):
-        for b in range(a, span - a + 1):
-            for x, x2, xv in by_degree[a]:
-                ax = _mul(a_coeffs, x, q)
-                u = _sub(_mul(ax, ax, q), (4,), q)
-                v = _smul(x2, 4, q)
-                uv = [((ac * xc - 4) % q, 4 * xc % q) for ac, xc in zip(a2, xv)]
-                for y, y2, yv in by_degree[b]:
-                    for (uc, vc), yc in zip(uv, yv):
-                        if (uc * yc - vc) % q not in squares:
-                            break
-                    else:
-                        r = _sqrt_coeffs(_sub(_mul(u, y2, q), v, q), q)
-                        if r is None:
-                            continue
-                        s = _mul(ax, y, q)
-                        roots = (_smul(_add(s, r, q), inv2, q),)
-                        if r:
-                            roots += (_smul(_sub(s, r, q), inv2, q),)
-                        for z in roots:
-                            # deg x <= deg y <= deg z <= n, and not all constant
-                            if max(len(y), 2) <= len(z) <= max_len:
-                                yield x, y, z
+    for a in range(span // 2 + 1):
+        for x, x2, xv in by_degree[a]:
+            ax = _mul(a_coeffs, x, q)
+            u = _sub(_mul(ax, ax, q), (4,), q)
+            v = _smul(x2, 4, q)
+            uv = [((ac * xc - 4) % q, 4 * xc % q) for ac, xc in zip(a2, xv)]
+            for y, y2, yv in by_degree[span - a]:
+                for (uc, vc), yc in zip(uv, yv):
+                    if (uc * yc - vc) % q not in squares:
+                        break
+                else:
+                    r = _sqrt_coeffs(_sub(_mul(u, y2, q), v, q), q)
+                    if r is None:
+                        continue
+                    s = _mul(ax, y, q)
+                    roots = (_smul(_add(s, r, q), inv2, q),)
+                    if r:
+                        roots += (_smul(_sub(s, r, q), inv2, q),)
+                    for z in roots:
+                        if len(y) <= len(z):
+                            yield x, y, z
 
 
 def _weight(triple, ordered):
@@ -177,7 +174,8 @@ def enumerate_solutions(
     """
     _check_convention(convention)
     _check_pairs(ctx.p.p, ctx.beta, max_height)
-    return list(_triples(ctx, _solutions(ctx, max_height), convention))
+    solutions = (t for h in range(1, max_height + 1) for t in _solutions(ctx, h))
+    return list(_triples(ctx, solutions, convention))
 
 
 def write_solutions_jsonl(solutions, fp):
@@ -247,20 +245,21 @@ def census(
     convention: str,
     solutions_out: str | None = None,
 ) -> CensusReport:
-    """Enumerate height-n solutions and split them against the formula.
+    """Split the solutions of height n >= 1 against the formula.
 
     The d = 1 divisor term counts fundamental triples and the d > 1 terms
     count non-fundamental triples that descend to a fundamental one; members
     of constant-solution orbits form a third class with no matching term.
     Solutions are counted as they stream, each set of coordinates once, at
-    its first degree-sorted order (`_weight`).  Ratios are kept exact.  Given
-    a path `solutions_out`, opened before any pair is solved, the solutions
-    of every height <= n are sorted and written there as JSON-lines.
+    its first degree-sorted order (`_weight`).  Ratios are kept exact.  A
+    path `solutions_out`, opened before any pair is solved, gets every
+    solution of height <= n, sorted, as JSON-lines: only it needs heights < n.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     _check_convention(convention)
     _check_pairs(ctx.p.p, ctx.beta, n)
-    # after _check_pairs, so a huge n is refused for its pairs, and before the
-    # file is opened, so the formula's refusal of n = 0 leaves the file as it was
+    # after _check_pairs, so a huge n is refused for its pairs
     formula = None
     fund_term = nonfund_term = None
     if ctx.beta >= 1:
@@ -273,11 +272,12 @@ def census(
     if solutions_out:
         with open(solutions_out, "w", encoding="utf-8") as fp:
             solutions = list(solutions)
-            write_solutions_jsonl(_triples(ctx, solutions, convention), fp)
+            lower = (t for h in range(1, n) for t in _solutions(ctx, h))
+            write_solutions_jsonl(_triples(ctx, chain(lower, solutions), convention), fp)
 
     counts = {"fundamental": 0, "nonfundamental": 0, "constant_orbit": 0}
     for triple in solutions:
-        if len(triple[2]) == n + 1 and (weight := _weight(triple, convention == "ordered")):
+        if weight := _weight(triple, convention == "ordered"):
             counts[_classify(ctx, triple)] += weight
     fundamental, nonfundamental, constant_orbit = counts.values()
 

@@ -21,7 +21,7 @@ from markoff.poly import (
     parse_poly,
     render_poly,
 )
-from markoff.oracle import _polys_of_degree, enumerate_solutions
+from markoff.oracle import _polys_of_degree, _solutions, enumerate_solutions
 from markoff.triples import MarkoffContext, MarkoffTriple, is_fundamental
 
 P5 = PrimeModulus(5)
@@ -153,6 +153,39 @@ def solutions_by_discriminant(ctx, max_height):
                         if max(len(y), 2) <= len(z) <= max_height + 1:
                             found.add((x, y, z))
     return found
+
+
+def solutions_up_to(ctx, max_height):
+    """The coefficient-tuple solutions of every height 1..max_height, one
+    `oracle._solutions` pass per height."""
+    return (t for h in range(1, max_height + 1) for t in _solutions(ctx, h))
+
+
+def signature_buckets(q, beta, n):
+    """The degree_sorted count and class of each non-empty signature
+    (deg x, deg y, deg z) of height n >= 1 over F_q[t] with deg A = beta,
+    deg 0 written -1, by the per-signature identity: the x = 0 family holds
+    2(q-1)q^n fundamental solutions, and for beta = 0 the family with
+    constant x another 4(q-1)q^n.  Every other signature has
+    0 <= a <= b, a + b + beta = n, and a >= 1 when beta = 0; with
+    g = gcd(a + beta, b + beta) it is empty when g < beta, holds 2(q-1)
+    constant-orbit solutions when g = beta >= 1, and m(q-1)q^(g-beta)
+    non-fundamental ones when g > beta, m = 2 for beta >= 1 and 6 for
+    beta = 0.  No signature is non-empty when q = 3 (mod 4)."""
+    if q % 4 == 3:
+        return {}
+    buckets = {(-1, n, n): (2 * (q - 1) * q**n, "fundamental")}
+    if beta == 0:
+        buckets[0, n, n] = (4 * (q - 1) * q**n, "fundamental")
+    for a in range(int(beta == 0), (n - beta) // 2 + 1):
+        b = n - beta - a
+        g = math.gcd(a + beta, b + beta)
+        if g == beta:
+            buckets[a, b, n] = (2 * (q - 1), "constant_orbit")
+        elif g > beta:
+            m = 2 if beta else 6
+            buckets[a, b, n] = (m * (q - 1) * q ** (g - beta), "nonfundamental")
+    return buckets
 
 
 def bfs_count_with_seen_set(tree, n):

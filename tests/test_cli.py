@@ -21,6 +21,7 @@ from helpers import (
     count_factorize_calls,
     layer_by_sets,
     readme_commands,
+    solutions_up_to,
     triple_of,
 )
 from markoff import cli, euclid, oracle
@@ -249,6 +250,10 @@ class RecordingStdout:
         self.writes.append(text)
         return len(text)
 
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
 
 class TestEmit:
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -317,6 +322,17 @@ class TestEuclid:
                         "--depth", "2", "--format", "text")
         assert code == 0
         assert out.splitlines() == ["L0: (1,1,2)", "L1: (1,2,3)", "L2: (1,3,4) (2,3,5)"]
+
+    def test_text_is_written_triple_by_triple(self):
+        stdout = RecordingStdout()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["euclid", "--alpha", "3", "--beta", "2", "--depth", "12",
+                         "--format", "text"])
+        assert code == 0
+        rows = [f"L{j}: " + " ".join(f"({t1},{t2},{t3})" for t1, t2, t3 in layer)
+                for j, layer in enumerate(euclid.layers(euclid.TreeId(3, 2), 12))]
+        assert "".join(stdout.writes) == "\n".join(rows) + "\n"
+        assert max(map(len, stdout.writes)) < 20
 
     def test_output_matches_layer_by_layer(self, capsys):
         for alpha in range(1, 5):
@@ -537,10 +553,11 @@ class TestCountSolutions:
             "--brute", "--convention", "ordered", "--solutions-out", str(tmp_path / "s.jsonl"),
         )
         assert code == 0 and obj["total"] > 0
-        # the pairs are solved in one pass of the enumerator, not two
+        # the pairs are solved in one pass of the enumerator per height, the
+        # height-n pass serving both the file and the counts
         written = len(solved)
         solved.clear()
-        sum(1 for _ in oracle._solutions(context(PrimeModulus(5), "t"), 2))
+        sum(1 for _ in solutions_up_to(context(PrimeModulus(5), "t"), 2))
         assert written == len(solved) > 0
 
     @pytest.mark.parametrize(
@@ -586,6 +603,19 @@ class TestCountSolutions:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: n must be positive\n"
+        assert path.read_bytes() == b"earlier output\n" and solved == []
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_constant_a_refuses_n_below_one(self, capsys, tmp_path, monkeypatch, n):
+        solved = []
+        monkeypatch.setattr(oracle, "_sqrt_coeffs", lambda *args: solved.append(args))
+        path = tmp_path / "sols.jsonl"
+        path.write_bytes(b"earlier output\n")
+        for extra in ([], ["--solutions-out", str(path)]):
+            code = main(["count", "solutions", "--q", "5", "--A", "1", "--n", n, "--brute", *extra])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: n must be positive\n"
         assert path.read_bytes() == b"earlier output\n" and solved == []
 
     def test_solutions_out_needs_brute(self, capsys, tmp_path, monkeypatch):

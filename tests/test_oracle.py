@@ -1,6 +1,8 @@
+import functools
 import io
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -17,7 +19,9 @@ from helpers import (
     census_by_triple,
     context,
     nonconstant_polys,
+    signature_buckets,
     solutions_by_discriminant,
+    solutions_up_to,
     value_at,
 )
 from markoff import oracle
@@ -144,8 +148,9 @@ class TestEnumerate:
         ctx = context(P5, a_expr)
         enumerate_solutions(ctx, n, "ordered")
         # the q^(n+1) pairs with x = 0 are solved in closed form; of the
-        # others, those whose discriminant is a square at every point of F_q
-        # are solved once each
+        # others, those of height >= 1 whose discriminant is a square at every
+        # point of F_q are solved once each (the all-constant stratum of
+        # A = 1 is not enumerated)
         span = n - ctx.beta
         nonzero = [Polynomial(P5, c) for c in product(range(5), repeat=span + 1) if any(c)]
         squares = {c * c % 5 for c in range(5)}
@@ -154,9 +159,12 @@ class TestEnumerate:
             if x.degree <= y.degree and x.degree + y.degree <= span:
                 pairs += 1
                 disc = (ctx.A * x * y) ** 2 - (x * x + y * y).scalar_mul(4)
-                squares_everywhere += all(value_at(disc, c) in squares for c in range(5))
+                if ctx.beta + x.degree + y.degree >= 1:
+                    squares_everywhere += all(value_at(disc, c) in squares for c in range(5))
         assert pairs == pair_count(5, ctx.beta, n) - 5 ** (n + 1)
         assert len(solved) == squares_everywhere
+        if a_expr == "1":
+            assert len(solved) == 40  # 52 with the all-constant stratum
 
     @pytest.mark.parametrize("mod, a_expr, n", [(P5, "t", 2), (P13, "t^2", 1)])
     def test_zero_x_family_is_the_discriminant_roots(self, mod, a_expr, n):
@@ -187,29 +195,42 @@ class TestEnumerate:
         assert keys == sorted(keys)
 
 
+SIEVE_GRID = [
+    *((5, a, 4) for a in ("t", "t+3", "t^2", "2*t^2+t", "t^3+2")),
+    (5, "1", 3),
+    (5, "2", 3),
+    (13, "t", 2),
+    (13, "1", 2),
+    (17, "t", 2),
+    (29, "t", 2),
+    (7, "t", 3),
+    (3, "1", 3),
+]
+
+
+@functools.cache
+def unsieved(q, a_expr, n):
+    return frozenset(solutions_by_discriminant(context(PrimeModulus(q), a_expr), n))
+
+
 class TestSieve:
     """`_solutions` drops a pair whose discriminant takes a non-square value
     at a point of F_q before solving it; it must drop no solution."""
 
-    @pytest.mark.parametrize(
-        "q, a_expr, n",
-        [
-            *((5, a, 4) for a in ("t", "t+3", "t^2", "2*t^2+t", "t^3+2")),
-            (5, "1", 3),
-            (5, "2", 3),
-            (13, "t", 2),
-            (13, "1", 2),
-            (17, "t", 2),
-            (29, "t", 2),
-            (7, "t", 3),
-            (3, "1", 3),
-        ],
-    )
+    @pytest.mark.parametrize("q, a_expr, n", SIEVE_GRID)
     def test_drops_no_solution(self, q, a_expr, n):
         ctx = context(PrimeModulus(q), a_expr)
-        solutions = list(oracle._solutions(ctx, n))
+        solutions = list(solutions_up_to(ctx, n))
         assert len(set(solutions)) == len(solutions)
-        assert set(solutions) == solutions_by_discriminant(ctx, n)
+        assert set(solutions) == unsieved(q, a_expr, n)
+
+    @pytest.mark.parametrize("q, a_expr, n", SIEVE_GRID)
+    def test_one_height_per_pass(self, q, a_expr, n):
+        ctx = context(PrimeModulus(q), a_expr)
+        for h in range(1, n + 1):
+            solutions = set(oracle._solutions(ctx, h))
+            assert all(len(z) == h + 1 for _, _, z in solutions), h
+            assert solutions == {t for t in unsieved(q, a_expr, n) if len(t[2]) == h + 1}, h
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.sampled_from([P5, P7, P13, PrimeModulus(3)]), st.data())
@@ -239,7 +260,80 @@ class TestWriteSolutions:
         assert fp.getvalue() == expected
 
 
+SIGNATURE_GRID = [
+    *((5, a, n) for a in ("t", "t+3", "t^2", "2*t^2+t", "t^3+2", "1", "2") for n in range(1, 5)),
+    (13, "t", 2),
+    (13, "t", 3),
+    (13, "1", 2),
+    (13, "t^2", 2),
+    (17, "t", 2),
+    (17, "1", 2),
+    (29, "t", 2),
+    (7, "t", 3),  # q = 3 (mod 4): every bucket empty
+    (7, "1", 2),
+    (3, "1", 3),
+]
+
+
+@pytest.mark.parametrize("q, a_expr, n", SIGNATURE_GRID)
+def test_signature_buckets(q, a_expr, n):
+    """Every signature of height n holds the count and the one class that
+    the per-signature identity gives (`helpers.signature_buckets`)."""
+    ctx = context(PrimeModulus(q), a_expr)
+    counts, classes = Counter(), {}
+    for triple in oracle._solutions(ctx, n):
+        if weight := oracle._weight(triple, False):
+            signature = tuple(len(f) - 1 for f in triple)
+            counts[signature] += weight
+            classes.setdefault(signature, set()).add(oracle._classify(ctx, triple))
+    buckets = {sig: (count, *classes[sig]) for sig, count in counts.items()}
+    assert buckets == signature_buckets(q, ctx.beta, n)
+
+
+def count_sqrt_calls(monkeypatch) -> list:
+    """Record the argument of every `_sqrt_coeffs` call of the oracle."""
+    solved = []
+    sqrt_coeffs = oracle._sqrt_coeffs
+
+    def counted(f, p):
+        solved.append(f)
+        return sqrt_coeffs(f, p)
+
+    monkeypatch.setattr(oracle, "_sqrt_coeffs", counted)
+    return solved
+
+
 class TestCensus:
+    @pytest.mark.parametrize("q, a_expr, n, calls", [(5, "t", 5, 8916), (13, "t", 3, 360)])
+    def test_solves_height_n_alone(self, q, a_expr, n, calls, monkeypatch):
+        solved = count_sqrt_calls(monkeypatch)
+        ctx = context(PrimeModulus(q), a_expr)
+        census(ctx, n, "degree_sorted")
+        assert len(solved) == calls
+        solved.clear()
+        sum(1 for _ in oracle._solutions(ctx, n))
+        assert len(solved) == calls
+
+    def test_solutions_out_solves_every_height(self, monkeypatch, tmp_path):
+        # 244 square roots: every x != 0 pair of height <= 3 whose discriminant
+        # is a square at each point of F_5 (test_pair_count_is_the_pairs_solved)
+        solved = count_sqrt_calls(monkeypatch)
+        ctx = context(P5, "t")
+        census(ctx, 3, "degree_sorted", solutions_out=str(tmp_path / "s.jsonl"))
+        assert len(solved) == 244
+        solved.clear()
+        sum(1 for _ in solutions_up_to(ctx, 3))
+        assert len(solved) == 244
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_refuses_n_below_one(self, n, monkeypatch):
+        solved = count_sqrt_calls(monkeypatch)
+        for a_expr in ("1", "t"):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                census(context(P5, a_expr), n, "degree_sorted")
+        assert solved == []
+        assert enumerate_solutions(context(P5, "1"), 0, "degree_sorted") == []
+
     def test_n1_degree_sorted(self):
         rep = census(context(P5, "t"), 1, "degree_sorted")
         assert rep.fundamental_count == 40
@@ -329,8 +423,7 @@ RULE_AS = ("1", "2", "t", "t+3", "t^2", "2*t^2+t")
 
 class TestCountingRule:
     """The facts `oracle._weight` rests on, checked on every solution that
-    `oracle._solutions` yields.  It yields every height <= n, so the largest
-    n of each field covers the smaller ones."""
+    `oracle._solutions` yields at each height <= n."""
 
     @pytest.mark.parametrize(
         "mod, a_expr, n",
@@ -339,7 +432,7 @@ class TestCountingRule:
         + [(PrimeModulus(17), "t", 1)],
     )
     def test_distinct_coordinates_and_one_tie_that_swaps(self, mod, a_expr, n):
-        found = list(oracle._solutions(context(mod, a_expr), n))
+        found = list(solutions_up_to(context(mod, a_expr), n))
         yielded = set(found)
         assert found and len(yielded) == len(found)
         for triple in found:
