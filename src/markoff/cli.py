@@ -2,9 +2,10 @@
 
 Subcommands: verify, tree, descend, euclid, count signatures, count
 solutions.  All outputs are JSON unless --format says otherwise.  JSON has
-the layout of json.dumps(..., indent=2) and is written to stdout piece by
-piece as the value is walked, so a large tree is never held as one string;
-counts check their digit caps before anything is written.
+the layout of json.dumps(..., indent=2), with lists, tuples and their
+subclasses as arrays, and is written to stdout piece by piece as the value
+is walked, so a large tree is never held as one string; counts check their
+digit caps before anything is written.
 
 Exit codes: 0 success, 1 failed verification, 2 usage, parse or file error
 (such as an unwritable --solutions-out path), 3 budget exceeded, 141 (128 +
@@ -100,8 +101,9 @@ class _IntTexts(dict):
 
 
 def _emit(obj):
-    """Print obj as indent-2 JSON, tuples as lists, and a newline, piece by
-    piece, so that the document is never held as one string; keys are strings."""
+    """Print obj as indent-2 JSON and a newline, piece by piece, so that the
+    document is never held as one string; lists, tuples and their subclasses
+    are written as arrays, and keys are strings."""
     write = sys.stdout.write
     _write_json(obj, "\n", write, _IntTexts())
     write("\n")
@@ -113,9 +115,15 @@ def _write_json(value, pad, write, ints):
     kind = type(value)
     if kind is int:
         write(ints[value])
-    elif kind is not dict and kind is not list and kind is not tuple:
-        write(json.dumps(value))
-    elif not value:
+        return
+    if kind is not dict and kind is not list and kind is not tuple:
+        # a subclass, such as a NamedTuple, after the exact types of the hot path
+        if isinstance(value, dict):
+            kind = dict
+        elif not isinstance(value, (list, tuple)):
+            write(json.dumps(value))
+            return
+    if not value:
         write("{}" if kind is dict else "[]")
     elif kind is dict:
         inner = pad + "  "

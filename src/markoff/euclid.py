@@ -65,7 +65,7 @@ def layers(tree: TreeId, depth: int) -> list[list[tuple[int, int, int]]]:
     if depth > MAX_LAYER:
         raise BudgetExceeded("layer", depth, MAX_LAYER)
     beta = tree.beta
-    out = [[tuple(root(tree))]]  # a plain tuple: the JSON writer dispatches on type
+    out = [[tuple(root(tree))]]  # a plain tuple, as in every later layer
     for _ in range(depth):
         current = [(t1, t3, t1 + t3 + beta) for t1, t2, t3 in out[-1]]
         current += [(t2, t3, t2 + t3 + beta) for t1, t2, t3 in out[-1] if t1 < t2]

@@ -87,7 +87,8 @@ def _solutions(ctx: MarkoffContext, height: int):
     degree <= 2 deg y: one has degree `height`, the other too or below deg y."""
     q = ctx.p.p
     if q % 4 == 1:
-        # x = 0: z = +-i*y
+        # x = 0: z = +-i*y, with i found here and not by the process-cached
+        # sqrt_minus_one, so that every census makes the same _sqrt_int calls
         i = _sqrt_int(q - 1, q)
         for y in _polys_of_degree(q, height):
             yield (), y, _smul(y, i, q)

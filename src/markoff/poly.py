@@ -2,25 +2,28 @@
 
 Coefficients are stored as a tuple of canonical integers in ascending power
 order with no trailing zeros; the zero polynomial has an empty tuple and
-degree NEG_INF.  The ring operations are the tuple kernels `_mul`, `_add`,
-`_sub` and `_smul`, the one copy of F_p[t] arithmetic: `Polynomial` wraps
-them and the solution enumerator calls them directly.  `_mul` multiplies
+degree NEG_INF.  The tuple kernels `_mul`, `_add`, `_sub`, `_smul`, `_pow`
+and `_reduce` (integers mod p, trailing zeros stripped) are the one copy of
+F_p[t] arithmetic: `Polynomial` and the parser do none of their own, and
+the solution enumerator calls the kernels directly.  `_mul` multiplies
 small operands by the schoolbook loop and larger ones by Kronecker
-substitution (one big-integer product).  A small expression parser and a
-deterministic renderer (plain residues, or minimal-magnitude forms using
-i = sqrt(-1)) round-trip polynomials through text.
+substitution (one big-integer product); `_pow` squares and multiplies with
+`_mul`.  A small expression parser and a deterministic renderer (plain
+residues, or minimal-magnitude forms using i = sqrt(-1)) round-trip
+polynomials through text.
 
 The parser is one recursive descent over the characters of the text.  In
 each sum it reads a term as the renderer writes it, `[+-][c*][i*]t[^k]` or
 a constant `c`, `c*i` or `i`, with one term regex; any other term, and
 every error, goes down through term(), power() and atom(), which raise at
-the position of the character they fail on.  Values are coefficient tuples,
-`t^k` is built as one tuple, and each sum is collected into one list of
-integers and reduced mod p once, so a rendered degree-d polynomial parses
-in time linear in d.  The parser refuses any power or product of degree
-above MAX_PARSE_DEGREE (a bound on each term, not on the number of terms in
-a sum).  The renderer works out the signed factor of each distinct
-coefficient once per call and writes every term from it.
+the position of the character they fail on.  Values are coefficient tuples.
+Each sum is collected into one list of integers, where the term regex adds
+the c of a term c*t^k at index k, and `_reduce` reduces it mod p once, so a
+rendered degree-d polynomial parses in time linear in d.  The parser
+refuses any power or product of degree above MAX_PARSE_DEGREE (a bound on
+each term, not on the number of terms in a sum).  The renderer works out
+the signed factor of each distinct coefficient once per call and writes
+every term from it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ MAX_PARSE_DEGREE = 1 << 16
 
 
 # ----------------------------------------------------------------------
-# kernels on coefficient tuples (canonical residues, no trailing zeros)
+# kernels on coefficient tuples (canonical residues, no trailing zeros);
+# `_reduce` makes one from any integers
 
 
 # Products of operands with at least this many coefficient pairs,
@@ -122,6 +126,25 @@ def _smul(a, s, p):
     return tuple([v * s % p for v in a])
 
 
+def _pow(a, k, p):
+    # square and multiply: popcount(k) + bit_length(k) - 1 products for k >= 1
+    c = (1,)
+    while k:
+        if k & 1:
+            c = _mul(c, a, p)
+        k >>= 1
+        if k:
+            a = _mul(a, a, p)
+    return c
+
+
+def _reduce(values, p):
+    c = [v % p for v in values]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Polynomial:
     """Immutable dense polynomial over F_p, equal and hashed by its fields."""
@@ -135,12 +158,8 @@ class Polynomial:
     coeffs: tuple
 
     def __init__(self, modulus: PrimeModulus, coeffs=()):
-        p = modulus.p
-        c = [int(a) % p for a in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", _reduce(map(int, coeffs), modulus.p))
 
     @classmethod
     def _make(cls, modulus, coeffs):
@@ -159,8 +178,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, modulus: PrimeModulus, value: int) -> "Polynomial":
-        v = value % modulus.p
-        return cls._make(modulus, (v,) if v else ())
+        return cls._make(modulus, _reduce((value,), modulus.p))
 
     @classmethod
     def t(cls, modulus: PrimeModulus) -> "Polynomial":
@@ -222,16 +240,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.constant(self.modulus, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return Polynomial._make(self.modulus, _pow(self.coeffs, exponent, self.modulus.p))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -396,11 +405,7 @@ class _Parser:
             self.peek()
             pos = self.pos
             first = False
-        p = self.modulus.p
-        acc = [v % p for v in acc]
-        while acc and acc[-1] == 0:
-            acc.pop()
-        return tuple(acc)
+        return _reduce(acc, self.modulus.p)
 
     def term(self):
         self.peek()
@@ -424,15 +429,9 @@ class _Parser:
             exponent = self.literal()
             if exponent is None:
                 raise self.error("expected exponent", self.pos)
-            if not coeffs:
-                coeffs = () if exponent else (1,)  # 0^0 = 1, as Polynomial.__pow__ has it
-                continue
-            degree = exponent * (len(coeffs) - 1)
-            self.cap(degree, start)
-            if any(coeffs[:-1]):
-                coeffs = (Polynomial._make(self.modulus, coeffs) ** exponent).coeffs
-            else:  # a monomial c*t^d, such as t: its power is one tuple
-                coeffs = (0,) * degree + (pow(coeffs[-1], exponent, self.modulus.p),)
+            # a zero base, of length 0, is under the cap at any exponent
+            self.cap(exponent * (len(coeffs) - 1), start)
+            coeffs = _pow(coeffs, exponent, self.modulus.p)  # 0^0 = 1
         return coeffs
 
     def literal(self):
@@ -482,8 +481,7 @@ class _Parser:
         c = self.literal()
         if c is None:
             raise self.error("expected integer, 't', 'i' or '('", pos)
-        c %= self.modulus.p
-        return (c,) if c else ()
+        return _reduce((c,), self.modulus.p)
 
 
 # ----------------------------------------------------------------------

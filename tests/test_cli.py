@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -208,7 +209,7 @@ class TestTree:
 
 # JSON values: every scalar kind, ints past 300 digits, text with quotes,
 # backslashes, control and non-ASCII characters, int lists with bools mixed
-# in, and empty and nested lists and dicts
+# in, empty and nested lists and dicts, and subclasses of tuple and dict
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -227,6 +228,10 @@ json_values = st.recursive(
         st.lists(children, max_size=6).map(tuple),
         st.lists(st.integers(-2 * CACHED, 2 * CACHED), max_size=6).map(tuple),
         st.dictionaries(st.text(max_size=8), children, max_size=6),
+        st.dictionaries(st.text(max_size=8), children, max_size=6).map(OrderedDict),
+        # NamedTuples: of ints, as euclid builds them, and holding any value
+        st.builds(euclid.EuclidTriple, *[st.integers(-2 * CACHED, 2 * CACHED)] * 3),
+        st.builds(euclid.TreeId, children, children),
         st.lists(st.one_of(st.integers(), st.integers(-(10**300), 10**300), st.booleans())),
         # coefficient lists on both sides of the writer's text-cache bound
         st.lists(
@@ -809,3 +814,22 @@ class TestLeafDispatch:
         assert full == []
         assert call(capsys, EXTRA)[0] == 2
         assert full == [EXTRA]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("count", "signatures", "--beta", "2", "--n", "0"), "n must be positive"),
+            (("count", "signatures", "--beta", "0", "--H", "0"), "H must be positive"),
+            (("count", "solutions", "--q", "5", "--A", "t", "--n", "0"), "n must be positive"),
+            ((*TestTree.ROOT_ARGS, "--depth", "-1"), "depth must be non-negative"),
+            (("descend", "--p", "5", "--A", "t", "--triple", "(0; 0; 0)"),
+             "descent needs a triple of positive height"),
+        ],
+    )
+    def test_refused_input_exits_two(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -232,3 +232,17 @@ class TestFiniteField:
         obj = count_finite_field(5, 1, 3).to_json()
         assert obj["value"] == 2080
         assert obj["terms"][0] == {"d": 1, "E": 1, "multiplier": 2000}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "count, args",
+        [(factorize, (0,)), (count_C0, (0,)), (count_C_beta, (1, 0)), (count_finite_field, (5, 1, 0))],
+    )
+    def test_n_must_be_positive(self, count, args):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            count(*args)
+
+    def test_H_must_be_positive(self):
+        with pytest.raises(ValueError, match="^H must be positive$"):
+            cumulative_signatures(0)

@@ -48,6 +48,10 @@ class TestBranching:
         with pytest.raises(ValueError):
             euclid_branch(EuclidTriple(0, 1, 1), 0, 1)
 
+    def test_rejects_unknown_branch(self):
+        with pytest.raises(ValueError, match="^branch must be 1 or 2$"):
+            euclid_branch(EuclidTriple(1, 1, 2), 0, 3)
+
     @pytest.mark.parametrize("tree", [TreeId(0, 0), TreeId(1, -1)])
     def test_rejects_invalid_tree(self, tree):
         with pytest.raises(ValueError):
@@ -137,6 +141,10 @@ class TestMapUnit:
 
 
 class TestGammaReduce:
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="^components must be positive$"):
+            gamma_reduce((0, 1, 1))
+
     def test_examples(self):
         assert gamma_reduce(EuclidTriple(2, 3, 5)) == ((1, 1, 2), 2)
         assert gamma_reduce(EuclidTriple(3, 3, 6)) == ((3, 3, 6), 0)
@@ -180,6 +188,10 @@ class TestGammaReduce:
 
 
 class TestMembership:
+    def test_rejects_negative_beta(self):
+        with pytest.raises(ValueError, match="^beta must be non-negative$"):
+            membership(EuclidTriple(1, 1, 2), -1)
+
     def test_beta_zero(self):
         assert membership(EuclidTriple(4, 6, 10), 0) == TreeId(2, 0)
         assert membership(EuclidTriple(2, 3, 6), 0) is None

@@ -21,6 +21,10 @@ class TestPrimeModulus:
         with pytest.raises(ValueError):
             PrimeModulus(bad)
 
+    def test_rejects_non_int(self):
+        with pytest.raises(TypeError, match="^modulus must be an int$"):
+            PrimeModulus(5.0)
+
     def test_is_prime_spot_checks(self):
         assert is_prime(2) and is_prime(97) and is_prime(2**61 - 1)
         assert not is_prime(1) and not is_prime(91) and not is_prime(2**61 - 2)

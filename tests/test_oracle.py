@@ -520,3 +520,19 @@ class TestDescentOnEnumerated:
             assert is_fundamental(result.fundamental)
             assert ctx.classify_fundamental(result.fundamental) is not None
             assert ctx.replay_word(result.fundamental, result.word) == s
+
+
+class TestInputChecks:
+    def test_unknown_convention(self):
+        with pytest.raises(ValueError, match="^convention must be one of"):
+            census(context(P5, "t"), 1, "bogus")
+
+    def test_negative_max_height(self):
+        with pytest.raises(ValueError, match="^max_height must be non-negative$"):
+            enumerate_solutions(context(P5, "t"), -1, "ordered")
+
+    def test_tree_oracle_arguments(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            oracle_E(0)
+        with pytest.raises(ValueError, match="^beta must be non-negative$"):
+            oracle_C_beta(-1, 5)

@@ -24,6 +24,7 @@ from markoff.poly import (
     Polynomial,
     _add,
     _mul,
+    _pow,
     _sub,
     parse_poly,
     poly_sqrt,
@@ -183,6 +184,14 @@ class TestArithmetic:
         assert f**2 == poly(P5, 1, 2, 1)
         assert f**0 == poly(P5, 1)
 
+    def test_refused_operands_and_truth(self):
+        t = Polynomial.t(P5)
+        with pytest.raises(TypeError, match="expected Polynomial, got int"):
+            t + 1
+        with pytest.raises(ValueError, match="negative exponent"):
+            t**-1
+        assert not Polynomial.zero(P5) and t
+
 
 class TestKernels:
     def test_one_copy_shared_with_the_enumerator(self):
@@ -215,6 +224,19 @@ def stripped(coeffs):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
+
+
+def counted_muls(monkeypatch):
+    """A one-item list that counts the later calls of poly's _mul."""
+    calls = [0]
+    kernel = markoff.poly._mul
+
+    def counting_mul(a, b, p):
+        calls[0] += 1
+        return kernel(a, b, p)
+
+    monkeypatch.setattr(markoff.poly, "_mul", counting_mul)
+    return calls
 
 
 @st.composite
@@ -277,6 +299,41 @@ class TestKernelEquivalence:
         assert _sub(a, b, p) == stripped((u - v) % p for u, v in zip(pa, pb))
         assert _sub(a, a, p) == ()
         assert _add(a, tuple(-v % p for v in a), p) == ()
+
+    # the expression-tree property raises powers with Polynomial.__pow__,
+    # which shares _pow with the parser; these check _pow on its own
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([5, 13]).flatmap(
+            lambda p: st.tuples(
+                st.just(p), st.lists(st.integers(0, p - 1), max_size=6).map(stripped)
+            )
+        ),
+        st.integers(0, 12),
+    )
+    def test_pow_matches_repeated_mul(self, pa, k):
+        p, a = pa
+        expected = (1,)
+        for _ in range(k):
+            expected = _mul(expected, a, p)
+        assert _pow(a, k, p) == expected
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_pow_of_zero(self, p):
+        assert _pow((), 0, p) == (1,)
+        assert _pow((), 3, p) == ()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 1000, 65535, 65536])
+    def test_pow_work_is_square_and_multiply(self, k, monkeypatch):
+        calls = counted_muls(monkeypatch)
+        assert _pow((0, 3), k, 13) == (0,) * k + (pow(3, k, 13),)
+        assert calls[0] == bin(k).count("1") + k.bit_length() - 1
+
+    @pytest.mark.parametrize("text", ["(t)^65536", "(t+1)^65536"])
+    def test_parsed_power_is_square_and_multiply(self, text, monkeypatch):
+        calls = counted_muls(monkeypatch)
+        parse_poly(text, P13)
+        assert calls[0] == 17
 
 
 # Expression trees: leaves are integers, "t" and "i"; inner nodes are

@@ -24,6 +24,7 @@ from markoff.errors import (
     BudgetExceeded,
     ConstantFormNeedsConstantA,
     IUnavailable,
+    ModulusMismatch,
     NotFundamental,
     NotSolution,
 )
@@ -32,6 +33,7 @@ from markoff.triples import (
     RHO,
     ConstantForm,
     DoubleNeg,
+    MarkoffContext,
     MarkoffTriple,
     Swap,
     ZeroForm,
@@ -589,3 +591,40 @@ class TestStructuralInvariants:
         assert is_fundamental(s2) and s2.height() == fund.height()
         s1 = sort_triple(CTX_T13.apply_sigma(fund, 1))[0]
         assert not is_fundamental(s1) and s1.height() > fund.height()
+
+
+class TestInputChecks:
+    def test_double_neg_text(self):
+        assert str(DoubleNeg(1, 2)) == "dneg(1,2)"
+
+    def test_one_field_per_triple_and_context(self):
+        t5, t13 = Polynomial.t(P5), Polynomial.t(P13)
+        with pytest.raises(ModulusMismatch, match="^triple coordinates use different moduli$"):
+            MarkoffTriple(t5, t5, t13)
+        with pytest.raises(ModulusMismatch, match="^A is not a polynomial over the given field$"):
+            MarkoffContext(P5, t13)
+        with pytest.raises(ModulusMismatch, match="^triple and context use different moduli$"):
+            CTX_T5.is_solution(MarkoffTriple(t13, t13, t13))
+
+    def test_zero_A(self):
+        with pytest.raises(ValueError, match="^A must be nonzero$"):
+            MarkoffContext(P5, Polynomial.zero(P5))
+
+    def test_unknown_moves_and_forms(self):
+        root = triple_of(GOLDEN_ROOT, P13)
+        with pytest.raises(TypeError, match="^unknown generator 'x'$"):
+            CTX1.apply_generator(root, "x")
+        with pytest.raises(ValueError, match="^branch must be 1 or 2$"):
+            CTX1.apply_sigma(root, 3)
+        with pytest.raises(TypeError, match="^unknown form 'x'$"):
+            CTX1.make_fundamental("x")
+        with pytest.raises(ValueError, match="^a and sign must be \\+1 or -1$"):
+            ConstantForm(Polynomial.t(P13), 2, 1)
+
+    def test_descent_of_zero(self):
+        with pytest.raises(AllConstant, match="^descent needs a triple of positive height$"):
+            CTX_T5.descend(triple_of("(0; 0; 0)", P5))
+
+    def test_negative_tree_depth(self):
+        with pytest.raises(ValueError, match="^depth must be non-negative$"):
+            CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), -1)
