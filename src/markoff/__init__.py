@@ -13,6 +13,7 @@ from .counting import (
     count_finite_field,
     cumulative_signatures,
     divisors,
+    signature_count,
 )
 from .errors import MarkoffError
 from .euclid import (
@@ -89,6 +90,7 @@ __all__ = [
     "parse_poly",
     "poly_sqrt",
     "render_poly",
+    "signature_count",
     "sort_triple",
     "sqrt_minus_one",
     "write_solutions_jsonl",

@@ -1,20 +1,20 @@
 """Closed-form counting of Markoff-triple signatures and solutions.
 
 E(n) = phi(n)/2 counts (1,0)-Euclid-tree triples with maximum n > 2;
-C_beta(n) and C_A(n) count signatures of Markoff triples of height n; the
-finite-field count gives the exact number of solutions of height n over
-F_q[t] for non-constant A.  Each count factorizes n + beta once.  Caps, each
-raising BudgetExceeded: MAX_TRIAL_DIVISOR, MAX_DIVISOR_TERMS, MAX_COUNT_DIGITS.
+C_beta(n) and C_A(n) count signatures of Markoff triples of height n;
+`signature_count` gives the solutions over F_q[t] of one degree signature and
+their class, and `count_finite_field` all of height n for non-constant A.
+Each count factorizes n + beta once.  Caps, each raising BudgetExceeded:
+MAX_TRIAL_DIVISOR, MAX_DIVISOR_TERMS, MAX_COUNT_DIGITS.  Reports are records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BudgetExceeded, ConstantANotSupported, NonConstantA
 from .field import is_prime
+from .record import Record, _set
 
 # Trial division stops here while a cofactor remains: n factorizes when it is
 # a product of primes up to this bound and at most one prime below about its
@@ -85,11 +85,13 @@ def count_C0(n: int) -> int:
     return n // 2 + 1
 
 
-@dataclass(frozen=True)
-class CountTerm:
-    d: int
-    e: int
-    multiplier: int
+class CountTerm(Record):
+    __slots__ = ("d", "e", "multiplier")
+
+    def __init__(self, d: int, e: int, multiplier: int):
+        _set(self, "d", d)
+        _set(self, "e", e)
+        _set(self, "multiplier", multiplier)
 
     @property
     def contribution(self) -> int:
@@ -99,13 +101,15 @@ class CountTerm:
         return {"d": self.d, "E": self.e, "multiplier": self.multiplier}
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Record):
     """A divisor-sum value together with its per-divisor contributions."""
 
-    value: int
-    terms: tuple[CountTerm, ...]
-    empty_field: bool = field(default=False)
+    __slots__ = ("value", "terms", "empty_field")
+
+    def __init__(self, value: int, terms: tuple[CountTerm, ...], empty_field: bool = False):
+        _set(self, "value", value)
+        _set(self, "terms", terms)
+        _set(self, "empty_field", empty_field)
 
     def to_json(self) -> dict:
         obj = {"value": self.value, "terms": [t.to_json() for t in self.terms]}
@@ -141,11 +145,31 @@ def C_A_from_C_beta(beta: int, c_beta: int) -> int:
     return c_beta + 1 if beta == 0 else c_beta
 
 
-@dataclass(frozen=True)
-class CumulativeReport:
-    total: int
-    lower: Fraction
-    upper: Fraction
+def signature_count(q: int, beta: int, signature) -> tuple[int, str | None]:
+    """(degree_sorted count, class) of the solutions over F_q[t], deg A = beta,
+    of degrees (a, b, c), deg 0 written -1, or (0, None).  (-1, n, n) holds
+    2(q-1)q^n fundamental ones, and (0, n, n) 4(q-1)q^n if beta = 0.  Else c =
+    a + b + beta; g = gcd(a + beta, b + beta) = beta gives 2(q-1) in constant
+    orbits, g > beta m(q-1)q^(g-beta) non-fundamental ones, m = 2 if beta else 6."""
+    a, b, c = signature
+    if q % 4 == 3 or not -1 <= a <= b <= c or c < 1:
+        return 0, None
+    if b == c and (a == -1 or a == 0 == beta):
+        return (2 if a < 0 else 4) * (q - 1) * q**c, "fundamental"
+    if a < 0 or a + b + beta != c or (g := math.gcd(a + beta, b + beta)) < beta:
+        return 0, None
+    if g == beta:
+        return 2 * (q - 1), "constant_orbit"
+    return (2 if beta else 6) * (q - 1) * q ** (g - beta), "nonfundamental"
+
+
+class CumulativeReport(Record):
+    __slots__ = ("total", "lower", "upper")
+
+    def __init__(self, total: int, lower, upper):
+        _set(self, "total", total)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
     def to_json(self) -> dict:
         return {"total": self.total, "lower": str(self.lower), "upper": str(self.upper)}
@@ -158,6 +182,7 @@ def cumulative_signatures(H: int, beta: int = 0) -> CumulativeReport:
         raise NonConstantA("cumulative sandwich bounds require constant A")
     if H < 1:
         raise ValueError("H must be positive")
+    from fractions import Fraction  # here, not at the top: it loads `decimal`, slow to import
     upper = Fraction(H * H + 9 * H, 4)
     # the upper bound's numerator is the longest number printed: the total is
     # below it, and the lower bound's H*(H+5) is reduced by the same power of 2
@@ -192,8 +217,9 @@ def count_finite_field(q: int, beta: int, n: int) -> CountReport:
     if q % 4 == 3:
         return CountReport(value=0, terms=(), empty_field=True)
     # the value is below q^(n+3); refuse before building a power too long to
-    # print (a Fraction, as a float of a huge n would overflow)
-    digits = math.floor(Fraction(math.log10(q)) * (n + 3)) + 1
+    # print (exactly, from the float log10(q) as a ratio: a float of a huge n overflows)
+    num, den = math.log10(q).as_integer_ratio()
+    digits = num * (n + 3) // den + 1
     if digits > MAX_COUNT_DIGITS:
         raise BudgetExceeded("count digits", digits, MAX_COUNT_DIGITS)
     terms = tuple(

@@ -9,7 +9,8 @@ smaller of the two integer representatives, so outputs are deterministic
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+
+from .record import Record, _set
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10^24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -43,19 +44,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+class PrimeModulus(Record):
     """An odd prime p with 3 <= p < 2**63, checked at construction."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int):
+    def __init__(self, p: int):
+        if not isinstance(p, int):
             raise TypeError("modulus must be an int")
-        if not 3 <= self.p < MAX_MODULUS:
-            raise ValueError(f"modulus must satisfy 3 <= p < 2**63, got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus must be an odd prime, got {self.p}")
+        if not 3 <= p < MAX_MODULUS:
+            raise ValueError(f"modulus must satisfy 3 <= p < 2**63, got {p}")
+        if not is_prime(p):
+            raise ValueError(f"modulus must be an odd prime, got {p}")
+        _set(self, "p", p)
+
+    def __eq__(self, other):
+        return self.p == other.p if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
     def __repr__(self):
         return f"PrimeModulus({self.p})"

@@ -21,15 +21,14 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, permutations, product
 
-from .counting import CountReport, count_finite_field
+from .counting import count_finite_field
 from .errors import AllConstant, BudgetExceeded
 from .euclid import TreeId, root
 from .field import _sqrt_int
 from .poly import _SLOT_CODES, Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
+from .record import Record, _set
 from .triples import MarkoffContext, MarkoffTriple
 
 # The most candidate pairs `pair_count` admits; each pair gives at most two
@@ -194,29 +193,36 @@ def write_solutions_jsonl(solutions, fp):
 # census
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Record):
     """Brute-force class counts beside the closed formula's divisor terms.
 
     Solutions lying in the orbit of a constant solution (their descent
     bottoms out on an all-constant triple instead of a fundamental one, e.g.
     (1, 2, 2t) = rho(1, 2, 0) over F_5 with A = t) are counted separately:
-    the divisor-sum formula does not model them.
+    the divisor-sum formula does not model them.  The formula (a CountReport),
+    its terms and their ratios (Fractions) are None when there is no formula.
     """
 
-    q: int
-    A: Polynomial
-    n: int
-    convention: str
-    total: int
-    fundamental_count: int
-    nonfundamental_count: int
-    constant_orbit_count: int
-    formula: CountReport | None
-    fundamental_term: int | None
-    nonfundamental_term: int | None
-    fundamental_ratio: Fraction | None
-    nonfundamental_ratio: Fraction | None
+    __slots__ = ("q", "A", "n", "convention", "total", "fundamental_count",
+                 "nonfundamental_count", "constant_orbit_count", "formula", "fundamental_term",
+                 "nonfundamental_term", "fundamental_ratio", "nonfundamental_ratio")
+
+    def __init__(self, q, A, n, convention, total, fundamental_count, nonfundamental_count,
+                 constant_orbit_count, formula, fundamental_term, nonfundamental_term,
+                 fundamental_ratio, nonfundamental_ratio):
+        _set(self, "q", q)
+        _set(self, "A", A)
+        _set(self, "n", n)
+        _set(self, "convention", convention)
+        _set(self, "total", total)
+        _set(self, "fundamental_count", fundamental_count)
+        _set(self, "nonfundamental_count", nonfundamental_count)
+        _set(self, "constant_orbit_count", constant_orbit_count)
+        _set(self, "formula", formula)
+        _set(self, "fundamental_term", fundamental_term)
+        _set(self, "nonfundamental_term", nonfundamental_term)
+        _set(self, "fundamental_ratio", fundamental_ratio)
+        _set(self, "nonfundamental_ratio", nonfundamental_ratio)
 
     def to_json(self) -> dict:
         return {
@@ -315,6 +321,7 @@ def _classify(ctx, triple):
 def _ratio(count, term):
     if term is None or term == 0:
         return None
+    from fractions import Fraction  # here, not at the top: it loads `decimal`, slow to import
     return Fraction(count, term)
 
 

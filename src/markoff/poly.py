@@ -31,10 +31,10 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
 from .field import PrimeModulus, _sqrt_int, sqrt_minus_one
+from .record import Record, _set
 
 # Degree of the zero polynomial.  Orders below every integer and absorbs
 # under addition, exactly what signature comparisons need.
@@ -145,29 +145,30 @@ def _reduce(values, p):
     return tuple(c)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Polynomial:
+class Polynomial(Record):
     """Immutable dense polynomial over F_p, equal and hashed by its fields."""
 
-    # declared here rather than by slots=True, which builds a new class that
-    # the frozen __setattr__ does not know: assigning a name that is not a
-    # field then raised TypeError instead of FrozenInstanceError
     __slots__ = ("modulus", "coeffs")
 
-    modulus: PrimeModulus
-    coeffs: tuple
-
     def __init__(self, modulus: PrimeModulus, coeffs=()):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", _reduce(map(int, coeffs), modulus.p))
+        _set(self, "modulus", modulus)
+        _set(self, "coeffs", _reduce(map(int, coeffs), modulus.p))
 
     @classmethod
     def _make(cls, modulus, coeffs):
         # internal fast path: coeffs already reduced, stripped, tuple
         self = object.__new__(cls)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "modulus", modulus)
+        _set(self, "coeffs", coeffs)
         return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.modulus.p == other.modulus.p
+
+    def __hash__(self):
+        return hash((self.modulus, self.coeffs))
 
     # ------------------------------------------------------------------
     # constructors

@@ -4,13 +4,13 @@ its automorphisms, descent to fundamental triples, and tree generation.
 Conventions: a triple is *sorted* when deg x <= deg y <= deg z; sorting is
 stable on equal degrees.  Group words record generators in the order they
 were applied; since every generator is an involution, replaying a word in
-reverse inverts it.
+reverse inverts it.  Triples, generators, forms and tree nodes are immutable
+records (`record.Record`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     AllConstant,
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .field import PrimeModulus, sqrt_minus_one
 from .poly import Polynomial, _mul, _sub, render_poly
+from .record import Record, _set
 
 # The deepest tree generate_tree builds, 2^13 - 1 nodes.  It bounds the node
 # count, not the node size: depth 12 from (t; t+2*i; t^2+2*i*t-2) at p = 13,
@@ -42,31 +43,36 @@ MAX_TREE_COEFFS = 1 << 22
 # generators of the automorphism group
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(Record):
     """Transposition of coordinates i and j (1-based)."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        _set(self, "i", i)
+        _set(self, "j", j)
 
     def __str__(self):
         return f"swap({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class DoubleNeg:
+class DoubleNeg(Record):
     """Negation of coordinates i and j (1-based)."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        _set(self, "i", i)
+        _set(self, "j", j)
 
     def __str__(self):
         return f"dneg({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class Rho:
+class Rho(Record):
     """The Vieta move (x, y, z) -> (x, y, A*x*y - z)."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "rho"
@@ -78,17 +84,17 @@ Generator = Swap | DoubleNeg | Rho
 GroupWord = tuple
 
 
-@dataclass(frozen=True)
-class MarkoffTriple:
+class MarkoffTriple(Record):
     """Ordered triple of polynomials over a common F_p."""
 
-    x: Polynomial
-    y: Polynomial
-    z: Polynomial
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if not (self.x.modulus == self.y.modulus == self.z.modulus):
+    def __init__(self, x: Polynomial, y: Polynomial, z: Polynomial):
+        if not (x.modulus == y.modulus == z.modulus):
             raise ModulusMismatch("triple coordinates use different moduli")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     @property
     def coords(self):
@@ -133,33 +139,33 @@ def _label(triple: MarkoffTriple, render) -> tuple:
 # fundamental forms
 
 
-@dataclass(frozen=True)
-class ZeroForm:
+class ZeroForm(Record):
     """Fundamental triple (0, sign*i*f, f) with f non-constant."""
 
-    f: Polynomial
-    sign: int
+    __slots__ = ("f", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, f: Polynomial, sign: int):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.f.is_constant():
+        if f.is_constant():
             raise ValueError("f must be non-constant")
+        _set(self, "f", f)
+        _set(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class ConstantForm:
+class ConstantForm(Record):
     """Fundamental triple (2a/A, a*f + sign*2ai/A, f); only for constant A."""
 
-    f: Polynomial
-    a: int
-    sign: int
+    __slots__ = ("f", "a", "sign")
 
-    def __post_init__(self):
-        if self.a not in (1, -1) or self.sign not in (1, -1):
+    def __init__(self, f: Polynomial, a: int, sign: int):
+        if a not in (1, -1) or sign not in (1, -1):
             raise ValueError("a and sign must be +1 or -1")
-        if self.f.is_constant():
+        if f.is_constant():
             raise ValueError("f must be non-constant")
+        _set(self, "f", f)
+        _set(self, "a", a)
+        _set(self, "sign", sign)
 
 
 FundamentalForm = ZeroForm | ConstantForm
@@ -218,18 +224,18 @@ def predict_tree_coeffs(signature, beta: int, depth: int) -> int:
 # context
 
 
-@dataclass(frozen=True)
-class MarkoffContext:
+class MarkoffContext(Record):
     """A fixed prime field and a fixed nonzero parameter A."""
 
-    p: PrimeModulus
-    A: Polynomial
+    __slots__ = ("p", "A")
 
-    def __post_init__(self):
-        if self.A.modulus != self.p:
+    def __init__(self, p: PrimeModulus, A: Polynomial):
+        if A.modulus != p:
             raise ModulusMismatch("A is not a polynomial over the given field")
-        if self.A.is_zero():
+        if A.is_zero():
             raise ValueError("A must be nonzero")
+        _set(self, "p", p)
+        _set(self, "A", A)
 
     @property
     def beta(self) -> int:
@@ -407,20 +413,24 @@ class MarkoffContext:
         return TreeNode(triple, branch, children)
 
 
-@dataclass(frozen=True)
-class DescentResult:
-    fundamental: MarkoffTriple
-    word: GroupWord
+class DescentResult(Record):
+    __slots__ = ("fundamental", "word")
+
+    def __init__(self, fundamental: MarkoffTriple, word: GroupWord):
+        _set(self, "fundamental", fundamental)
+        _set(self, "word", word)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Record):
     """Node of a generated Markoff tree; `branch` is the sigma move (1 or 2)
     that produced it from its parent, None for the root."""
 
-    triple: MarkoffTriple
-    branch: int | None
-    children: tuple
+    __slots__ = ("triple", "branch", "children")
+
+    def __init__(self, triple: MarkoffTriple, branch: int | None, children: tuple):
+        _set(self, "triple", triple)
+        _set(self, "branch", branch)
+        _set(self, "children", children)
 
     def walk(self):
         yield self

@@ -164,28 +164,13 @@ def solutions_up_to(ctx, max_height):
 def signature_buckets(q, beta, n):
     """The degree_sorted count and class of each non-empty signature
     (deg x, deg y, deg z) of height n >= 1 over F_q[t] with deg A = beta,
-    deg 0 written -1, by the per-signature identity: the x = 0 family holds
-    2(q-1)q^n fundamental solutions, and for beta = 0 the family with
-    constant x another 4(q-1)q^n.  Every other signature has
-    0 <= a <= b, a + b + beta = n, and a >= 1 when beta = 0; with
-    g = gcd(a + beta, b + beta) it is empty when g < beta, holds 2(q-1)
-    constant-orbit solutions when g = beta >= 1, and m(q-1)q^(g-beta)
-    non-fundamental ones when g > beta, m = 2 for beta >= 1 and 6 for
-    beta = 0.  No signature is non-empty when q = 3 (mod 4)."""
-    if q % 4 == 3:
-        return {}
-    buckets = {(-1, n, n): (2 * (q - 1) * q**n, "fundamental")}
-    if beta == 0:
-        buckets[0, n, n] = (4 * (q - 1) * q**n, "fundamental")
-    for a in range(int(beta == 0), (n - beta) // 2 + 1):
-        b = n - beta - a
-        g = math.gcd(a + beta, b + beta)
-        if g == beta:
-            buckets[a, b, n] = (2 * (q - 1), "constant_orbit")
-        elif g > beta:
-            m = 2 if beta else 6
-            buckets[a, b, n] = (m * (q - 1) * q ** (g - beta), "nonfundamental")
-    return buckets
+    deg 0 written -1, by the per-signature identity
+    `counting.signature_count` on every candidate: the x = 0 family
+    (-1, n, n), and (a, n - beta - a, n) for 0 <= a <= n - beta - a."""
+    candidates = [(-1, n, n)] + [(a, n - beta - a, n) for a in range((n - beta) // 2 + 1)]
+    return {
+        sig: bucket for sig in candidates if (bucket := counting.signature_count(q, beta, sig))[1]
+    }
 
 
 def bfs_count_with_seen_set(tree, n):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import budget_fields, count_factorize_calls
@@ -21,6 +21,7 @@ from markoff.counting import (
     factorize,
 )
 from markoff.errors import BudgetExceeded, ConstantANotSupported, NonConstantA
+from markoff.field import is_prime
 from markoff.oracle import oracle_C_beta, oracle_E_coprime
 
 
@@ -246,3 +247,66 @@ class TestInputChecks:
     def test_H_must_be_positive(self):
         with pytest.raises(ValueError, match="^H must be positive$"):
             cumulative_signatures(0)
+
+
+def _prime_1_mod_4(start):
+    """The least prime q >= start with q = 1 (mod 4)."""
+    q = start + (1 - start) % 4
+    while not is_prime(q):
+        q += 4
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 2**63 - 2**16), st.integers(1, 10**6), st.integers(1, 4))
+# two points where the float product log10(q) * (n + 3) rounds up to an integer
+@example(1459426371994861717, 551488, 1)
+@example(6702510317010906977, 250120, 2)
+def test_digit_cap_is_the_exact_floor(start, n, beta):
+    # the cap read off the refusal under a cap of 0, against the float
+    # log10(q) taken exactly as a Fraction
+    q = _prime_1_mod_4(start)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "MAX_COUNT_DIGITS", 0)
+        with pytest.raises(BudgetExceeded) as err:
+            count_finite_field(q, beta, n)
+    assert err.value.requested == math.floor(Fraction(math.log10(q)) * (n + 3)) + 1
+
+
+class TestSignatureCount:
+    @pytest.mark.parametrize(
+        "q, beta, signature, expected",
+        [
+            (5, 1, (-1, 3, 3), (2 * 4 * 5**3, "fundamental")),
+            (5, 0, (-1, 3, 3), (2 * 4 * 5**3, "fundamental")),
+            (5, 0, (0, 3, 3), (4 * 4 * 5**3, "fundamental")),
+            (5, 1, (1, 1, 3), (2 * 4 * 5, "nonfundamental")),
+            (13, 0, (1, 2, 3), (6 * 12 * 13, "nonfundamental")),
+            (5, 1, (0, 2, 3), (2 * 4, "constant_orbit")),
+            (5, 2, (0, 2, 4), (2 * 4, "constant_orbit")),
+            (5, 3, (0, 1, 4), (0, None)),
+            (5, 1, (1, 2, 3), (0, None)),
+            (5, 1, (2, 1, 4), (0, None)),
+            (5, 1, (-1, 2, 3), (0, None)),
+            (5, 1, (0, 3, 3), (0, None)),
+            (5, 0, (0, 2, 3), (0, None)),
+            (5, 0, (-1, 0, 0), (0, None)),
+            (7, 1, (-1, 3, 3), (0, None)),
+            (7, 1, (1, 1, 3), (0, None)),
+        ],
+    )
+    def test_points(self, q, beta, signature, expected):
+        assert counting.signature_count(q, beta, signature) == expected
+
+    @pytest.mark.parametrize("q", [5, 7, 13])
+    def test_twice_the_non_constant_orbit_total_is_the_finite_field_count(self, q):
+        # count_finite_field leaves out the constant orbits and is twice the
+        # degree_sorted count of the other two classes
+        for beta in range(1, 5):
+            for n in range(1, 25):
+                total = 0
+                for a in range(-1, n + 1):
+                    for b in range(max(a, 0), n + 1):
+                        count, kind = counting.signature_count(q, beta, (a, b, n))
+                        total += count if kind != "constant_orbit" else 0
+                assert 2 * total == count_finite_field(q, beta, n).value, (beta, n)

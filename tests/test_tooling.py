@@ -90,3 +90,18 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "markoff").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = {path.name: names for path in paths if (names := _unused_imports(path))}
     assert unused == {}
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    # records are plain slotted classes and Fraction is imported where it is
+    # used, so starting a command loads none of these
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import markoff.cli; print(sorted(sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    modules = set(ast.literal_eval(result.stdout))
+    assert "markoff.cli" in modules
+    assert modules & {"dataclasses", "fractions", "decimal", "inspect"} == set()
