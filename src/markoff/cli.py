@@ -179,13 +179,7 @@ def cmd_tree(args) -> int:
     elif args.format == "dot":
         print(tree.to_dot(style))
     else:
-        def walk(node, depth):
-            tag = f"s{node.branch} " if node.branch else ""
-            print("  " * depth + tag + node.triple.render(style))
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(tree, 0)
+        sys.stdout.writelines(tree.text_lines(style))
     return 0
 
 

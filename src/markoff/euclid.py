@@ -14,7 +14,7 @@ the (1, 0)-tree under n -> n*alpha + (n-1)*beta.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 
@@ -24,15 +24,10 @@ from .errors import BudgetExceeded, NotEuclidSum, NotOnUnitTree
 MAX_LAYER = 20
 
 
-class EuclidTriple(NamedTuple):
-    tau1: int
-    tau2: int
-    tau3: int
-
-
-class TreeId(NamedTuple):
-    alpha: int
-    beta: int
+# collections.namedtuple, not typing.NamedTuple: `typing` would be the
+# largest stdlib import of a bare start-up
+EuclidTriple = namedtuple("EuclidTriple", "tau1 tau2 tau3")
+TreeId = namedtuple("TreeId", "alpha beta")
 
 
 def euclid_branch(triple: EuclidTriple, beta: int, branch: int) -> EuclidTriple:
@@ -132,5 +127,5 @@ def membership(triple: EuclidTriple, beta: int) -> TreeId | None:
     if not 1 <= t1 <= t2 < t3 or t3 != t1 + t2 + beta:
         return None
     g = math.gcd(t1 + beta, t2 + beta)
-    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+    # tuple.__new__ skips the Python-level __new__ that namedtuple generates
     return tuple.__new__(TreeId, (g - beta, beta)) if g > beta else None

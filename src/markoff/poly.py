@@ -2,15 +2,16 @@
 
 Coefficients are stored as a tuple of canonical integers in ascending power
 order with no trailing zeros; the zero polynomial has an empty tuple and
-degree NEG_INF.  The tuple kernels `_mul`, `_add`, `_sub`, `_smul`, `_pow`
-and `_reduce` (integers mod p, trailing zeros stripped) are the one copy of
-F_p[t] arithmetic: `Polynomial` and the parser do none of their own, and
-the solution enumerator calls the kernels directly.  `_mul` multiplies
-small operands by the schoolbook loop and larger ones by Kronecker
-substitution (one big-integer product); `_pow` squares and multiplies with
-`_mul`.  A small expression parser and a deterministic renderer (plain
-residues, or minimal-magnitude forms using i = sqrt(-1)) round-trip
-polynomials through text.
+degree NEG_INF.  The tuple kernels `_mul`, `_mul_sub`, `_add`, `_sub`,
+`_smul`, `_pow` and `_reduce` (integers mod p, trailing zeros stripped) are
+the one copy of F_p[t] arithmetic: `Polynomial` and the parser do none of
+their own, and the solution enumerator and tree growth call the kernels
+directly.  `_mul` multiplies small operands by the schoolbook loop and
+larger ones by Kronecker substitution (one big-integer product), and
+`_mul_sub`, a*b - c, takes c off inside that product; `_pow` squares and
+multiplies with `_mul`.  A small expression parser and a deterministic
+renderer (plain residues, or minimal-magnitude forms using i = sqrt(-1))
+round-trip polynomials through text.
 
 The parser is one recursive descent over the characters of the text.  In
 each sum it reads a term as the renderer writes it, `[+-][c*][i*]t[^k]` or
@@ -21,9 +22,10 @@ Each sum is collected into one list of integers, where the term regex adds
 the c of a term c*t^k at index k, and `_reduce` reduces it mod p once, so a
 rendered degree-d polynomial parses in time linear in d.  The parser
 refuses any power or product of degree above MAX_PARSE_DEGREE (a bound on
-each term, not on the number of terms in a sum).  The renderer works out
-the signed factor of each distinct coefficient once per call and writes
-every term from it.
+each term, not on the number of terms in a sum).  A renderer, made per
+export by `renderer`, works out the signed factor of each distinct
+coefficient once and joins every term from it in C, with no term formatted
+in Python.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from itertools import compress
+from operator import add
 
 from .errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
 from .field import PrimeModulus, _sqrt_int, sqrt_minus_one
@@ -96,6 +100,32 @@ def _mul(a, b, p):
             for j, aj in enumerate(a):
                 c[k + j] += bk * aj
     return tuple([v % p for v in c])
+
+
+def _mul_sub(a, b, c, p):
+    """a*b - c, the product and the difference in one pass over the digits."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(b)
+    if n >= 2 and n * len(a) >= KRONECKER_MIN_PAIRS and len(c) < len(a) + n:
+        # _mul's Kronecker substitution, with p - c_k added to digit k of the
+        # product: every digit stays in [1, (p-1)^2 * n + p], so none borrows
+        # or carries, and one pass mod p reduces the difference
+        width = (((p - 1) ** 2 * n + p).bit_length() + 7) // 8
+        if width <= 8:
+            code = _SLOT_CODES[width]
+            x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
+            y = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
+            ps = int.from_bytes((array(code, (p,)) * len(c)).tobytes(), sys.byteorder)
+            cs = int.from_bytes(array(code, c).tobytes(), sys.byteorder)
+            digits = (x * y + (ps - cs)).to_bytes(
+                (len(a) + n - 1) * array(code).itemsize, sys.byteorder
+            )
+            d = [v % p for v in memoryview(digits).cast(code)]
+            while d and d[-1] == 0:
+                d.pop()
+            return tuple(d)
+    return _sub(_mul(a, b, p), c, p)
 
 
 def _add(a, b, p):
@@ -489,6 +519,72 @@ class _Parser:
 # renderer
 
 
+# The most signed factors a renderer keeps.  At p = 13 it meets at most 12;
+# at a large p nearly every coefficient of a tree is distinct, and a factor
+# found beyond this many is worked out again at each use rather than kept.
+MAX_KEPT_FACTORS = 1 << 12
+
+
+class _Factors(dict):
+    """Signed factor of each coefficient, such as "+", "-3*" or "-2*i*";
+    inv_i is 1/i in the with_i style, None in plain."""
+
+    def __init__(self, p, inv_i):
+        super().__init__({0: ""})  # a zero term is dropped whatever its text
+        self.p = p
+        self.inv_i = inv_i
+
+    def __missing__(self, c):
+        p, mag, sign, unit = self.p, c, "+", ""
+        if self.inv_i is not None:
+            v = c * self.inv_i % p
+            # v = +-c would need i = +-1, so a real and an imaginary form never tie
+            if min(v, p - v) < min(c, p - c):
+                mag, unit = v, "i*"
+            if mag > p - mag:
+                mag, sign = p - mag, "-"
+        factor = sign + ("" if mag == 1 else f"{mag}*") + unit
+        if len(self) < MAX_KEPT_FACTORS:
+            self[c] = factor
+        return factor
+
+
+def renderer(modulus: PrimeModulus, style: str = "plain"):
+    """render_poly for polynomials mod modulus.p in one style, as a function
+    of the polynomial.  It keeps the signed factor of each coefficient it
+    meets and the text of each power of t, so one export, which renders many
+    polynomials over few distinct coefficients, works each out once; make
+    one per export and let it go with the export."""
+    if style not in ("plain", "with_i"):
+        raise ValueError(f"unknown style {style!r}")
+    p, inv_i = modulus.p, None
+    if style == "with_i":
+        i = sqrt_minus_one(modulus)
+        if i is None:
+            raise IUnavailable(f"with_i rendering needs p = 1 (mod 4), got p = {p}")
+        inv_i = pow(i, p - 2, p)
+    factors = _Factors(p, inv_i).__getitem__
+    powers = ["", "t"]  # powers[k] is the text of t^k for k >= 1
+
+    def render(f: Polynomial) -> str:
+        coeffs = f.coeffs
+        n = len(coeffs)
+        if not n:
+            return "0"
+        if n > len(powers):
+            powers.extend([f"t^{k}" for k in range(len(powers), n)])
+        # the terms c_k*t^k for k = n-1 .. 1, each its signed factor and its
+        # power, where c_k is nonzero; then the constant
+        high = coeffs[:0:-1]
+        text = "".join(compress(map(add, map(factors, high), powers[n - 1 : 0 : -1]), high))
+        if coeffs[0]:
+            factor = factors(coeffs[0])
+            text += factor[:-1] if factor.endswith("*") else factor + "1"
+        return text.removeprefix("+")
+
+    return render
+
+
 def render_poly(f: Polynomial, style: str = "plain") -> str:
     """Deterministic text form of f; parse_poly(render_poly(f)) == f.
 
@@ -497,32 +593,4 @@ def render_poly(f: Polynomial, style: str = "plain") -> str:
             {c, -c', c''*i, -c''*i} with the smallest printed magnitude,
             ties preferring real over imaginary and positive over negative.
     """
-    if style not in ("plain", "with_i"):
-        raise ValueError(f"unknown style {style!r}")
-    if f.is_zero():
-        return "0"
-    coeffs, p = f.coeffs, f.modulus.p
-    if style == "with_i":
-        i = sqrt_minus_one(f.modulus)
-        if i is None:
-            raise IUnavailable(f"with_i rendering needs p = 1 (mod 4), got p = {p}")
-        inv_i = pow(i, p - 2, p)
-    # each distinct coefficient's signed factor, such as "+", "-3*" or "-2*i*"
-    signed = {}
-    for c in set(coeffs) - {0}:
-        mag, sign, unit = c, "+", ""
-        if style == "with_i":
-            v = c * inv_i % p
-            # v = +-c would need i = +-1, so a real and an imaginary form never tie
-            if min(v, p - v) < min(c, p - c):
-                mag, unit = v, "i*"
-            if mag > p - mag:
-                mag, sign = p - mag, "-"
-        signed[c] = sign + ("" if mag == 1 else f"{mag}*") + unit
-    terms = [f"{signed[coeffs[k]]}t^{k}" for k in range(len(coeffs) - 1, 1, -1) if coeffs[k]]
-    if len(coeffs) > 1 and coeffs[1]:
-        terms.append(signed[coeffs[1]] + "t")
-    if coeffs[0]:
-        factor = signed[coeffs[0]]
-        terms.append(factor[:-1] if factor.endswith("*") else factor + "1")
-    return "".join(terms).removeprefix("+")
+    return renderer(f.modulus, style)(f)

@@ -23,7 +23,7 @@ from .errors import (
     UnclassifiableInput,
 )
 from .field import PrimeModulus, sqrt_minus_one
-from .poly import Polynomial, _mul, _sub, render_poly
+from .poly import Polynomial, _mul, _mul_sub, renderer
 from .record import Record, _set
 
 # The deepest tree generate_tree builds, 2^13 - 1 nodes.  It bounds the node
@@ -126,7 +126,7 @@ class MarkoffTriple(Record):
         )
 
     def render(self, style: str = "plain") -> str:
-        return "".join(_label(self, lambda c: render_poly(c, style)))
+        return "".join(_label(self, renderer(self.x.modulus, style)))
 
 
 def _label(triple: MarkoffTriple, render) -> tuple:
@@ -396,21 +396,28 @@ class MarkoffContext(Record):
 
         The two children are the sorted (A*z*y - x, y, z) and (x, A*x*z - y,
         z), which share the product A*z.  Each keeps two of the parent's
-        coordinates as they are and wraps only the new one.
+        coordinates as they are and wraps only the new one.  A new coordinate
+        of degree above deg z goes last, where the stable sort_triple puts
+        it, so such a child is sorted by construction; any other child, as
+        sigma_2 of a fundamental triple, goes through sort_triple.
         """
         if depth == 0:
             return TreeNode(triple, branch, ())
         x, y, z = triple.coords
-        p = self.p.p
+        p, top = self.p.p, len(z.coeffs)
         az = _mul(self.A.coeffs, z.coeffs, p)
-        first = Polynomial._make(self.p, _sub(_mul(az, y.coeffs, p), x.coeffs, p))
-        second = Polynomial._make(self.p, _sub(_mul(az, x.coeffs, p), y.coeffs, p))
+        x1 = Polynomial._make(self.p, _mul_sub(az, y.coeffs, x.coeffs, p))
+        y2 = Polynomial._make(self.p, _mul_sub(az, x.coeffs, y.coeffs, p))
+        if len(x1.coeffs) > top:
+            first = MarkoffTriple(y, z, x1)
+        else:
+            first = sort_triple(MarkoffTriple(x1, y, z))[0]
+        if len(y2.coeffs) > top:
+            second = MarkoffTriple(x, z, y2)
+        else:
+            second = sort_triple(MarkoffTriple(x, y2, z))[0]
         depth -= 1
-        children = (
-            self._grow(sort_triple(MarkoffTriple(first, y, z))[0], 1, depth),
-            self._grow(sort_triple(MarkoffTriple(x, second, z))[0], 2, depth),
-        )
-        return TreeNode(triple, branch, children)
+        return TreeNode(triple, branch, (self._grow(first, 1, depth), self._grow(second, 2, depth)))
 
 
 class DescentResult(Record):
@@ -445,10 +452,22 @@ class TreeNode(Record):
         """DOT text.  Each distinct coordinate is rendered once, and every
         label refers to that one text until the final join."""
         parts = ["digraph markoff_tree {\n", '  node [shape=box, fontname="monospace"];\n']
-        render = _once_per_object(lambda c: render_poly(c, style))
+        render = _once_per_object(renderer(self.triple.x.modulus, style))
         _dot_parts(self, parts, render, itertools.count())
         parts.append("}")
         return "".join(parts)
+
+    def text_lines(self, style: str = "plain"):
+        """Text form, one line per node in preorder: two spaces per level,
+        "s1 " or "s2 " for the move that made the node, the triple and a
+        newline.  Each distinct coordinate is rendered once."""
+        render = _once_per_object(renderer(self.triple.x.modulus, style))
+        stack = [(self, "")]
+        while stack:
+            node, indent = stack.pop()
+            tag = f"s{node.branch} " if node.branch else ""
+            yield "".join((indent, tag, *_label(node.triple, render), "\n"))
+            stack += [(child, indent + "  ") for child in reversed(node.children)]
 
 
 def _once_per_object(convert):

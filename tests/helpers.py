@@ -19,10 +19,9 @@ from markoff.poly import (
     _sqrt_coeffs,
     _sub,
     parse_poly,
-    render_poly,
 )
 from markoff.oracle import _polys_of_degree, _solutions, enumerate_solutions
-from markoff.triples import MarkoffContext, MarkoffTriple, is_fundamental
+from markoff.triples import MarkoffContext, MarkoffTriple, TreeNode, is_fundamental, sort_triple
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -407,6 +406,11 @@ def root_by_closed_forms(ctx, f, a, sign=1, family="zero"):
     return MarkoffTriple(f, y, ctx.A * f * y - two_a_over_A)
 
 
+def label_by_candidates(triple, style="plain"):
+    """Reference text (x, y, z) of a triple, each coordinate rendered alone."""
+    return "(" + ", ".join(render_by_candidates(c, style) for c in triple.coords) + ")"
+
+
 def dot_by_node(tree, style="plain"):
     """Reference DOT text, the `TreeNode.to_dot` that rendered every
     coordinate of every node afresh."""
@@ -416,7 +420,7 @@ def dot_by_node(tree, style="plain"):
     def emit(node):
         idx = len(nodes)
         nodes.append(node)
-        label = "(" + ", ".join(render_poly(c, style) for c in node.triple.coords) + ")"
+        label = label_by_candidates(node.triple, style)
         lines.append(f'  n{idx} [label="{label}"];')
         for child in node.children:
             cidx = emit(child)
@@ -426,6 +430,33 @@ def dot_by_node(tree, style="plain"):
     emit(tree)
     lines.append("}")
     return "\n".join(lines)
+
+
+def text_by_node(tree, style="plain"):
+    """Reference text form, the walk of `markoff tree --format text` that
+    rendered every coordinate of every node afresh."""
+    lines = []
+
+    def walk(node, depth):
+        tag = f"s{node.branch} " if node.branch else ""
+        lines.append("  " * depth + tag + label_by_candidates(node.triple, style) + "\n")
+        for child in node.children:
+            walk(child, depth + 1)
+
+    walk(tree, 0)
+    return lines
+
+
+def tree_by_moves(ctx, triple, depth, branch=None):
+    """Reference tree under a sorted triple, built node by node: each child
+    is sort_triple of apply_sigma on its parent."""
+    children = ()
+    if depth:
+        children = tuple(
+            tree_by_moves(ctx, sort_triple(ctx.apply_sigma(triple, b))[0], depth - 1, b)
+            for b in (1, 2)
+        )
+    return TreeNode(triple, branch, children)
 
 
 def nonconstant_polys(mod, max_deg):

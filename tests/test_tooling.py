@@ -105,3 +105,16 @@ def test_cli_import_loads_no_slow_stdlib_module():
     modules = set(ast.literal_eval(result.stdout))
     assert "markoff.cli" in modules
     assert modules & {"dataclasses", "fractions", "decimal", "inspect"} == set()
+
+
+def test_cli_import_loads_no_typing():
+    # TreeId and EuclidTriple are collections.namedtuple classes; -S keeps
+    # out `site`, which on some hosts loads typing itself
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import markoff.cli; print('typing' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

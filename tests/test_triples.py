@@ -15,6 +15,8 @@ from helpers import (
     context,
     dot_by_node,
     root_by_closed_forms,
+    text_by_node,
+    tree_by_moves,
     tree_json_by_node,
     triple_of,
 )
@@ -428,6 +430,24 @@ class TestMakeRoot:
         assert swapped == CTX_T13.make_fundamental(ZeroForm(f=f, sign=1))
 
 
+def counted_renders(monkeypatch):
+    """The polynomials that triples' renderers render from here on."""
+    calls = []
+    renderer = triples.renderer
+
+    def counted(modulus, style):
+        render = renderer(modulus, style)
+
+        def count(f):
+            calls.append(f)
+            return render(f)
+
+        return count
+
+    monkeypatch.setattr(triples, "renderer", counted)
+    return calls
+
+
 class TestGenerateTree:
     def test_golden_tree_nodes(self):
         tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 2)
@@ -537,17 +557,40 @@ class TestGenerateTree:
     def test_dot_renders_each_polynomial_once(self, monkeypatch):
         tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 4)
         expected = dot_by_node(tree, "with_i")
-        calls = []
-        render_poly = triples.render_poly
-
-        def counted(f, style):
-            calls.append(f)
-            return render_poly(f, style)
-
-        monkeypatch.setattr(triples, "render_poly", counted)
+        calls = counted_renders(monkeypatch)
         assert tree.to_dot("with_i") == expected
         distinct = {c for node in tree.walk() for c in node.triple.coords}
         assert len(calls) == len(set(calls)) == len(distinct) < 3 * (2**5 - 1)
+
+    def test_text_renders_each_polynomial_once(self, monkeypatch):
+        tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 4)
+        expected = text_by_node(tree, "with_i")
+        calls = counted_renders(monkeypatch)
+        assert list(tree.text_lines("with_i")) == expected
+        distinct = {c for node in tree.walk() for c in node.triple.coords}
+        assert len(calls) == len(set(calls)) == len(distinct) < 3 * (2**5 - 1)
+
+    @pytest.mark.parametrize(
+        "ctx, root",
+        [
+            # fundamental roots, where sigma_2 keeps deg y and its child is
+            # sorted by sort_triple: the zero family (x = 0) at A = t and
+            # A = 1, and the constant family at constant A
+            (CTX_T13, CTX_T13.make_fundamental(ZeroForm(parse_poly("t^2+3", P13), 1))),
+            (CTX1, CTX1.make_fundamental(ZeroForm(parse_poly("t+1", P13), -1))),
+            (CTX1, CTX1.make_fundamental(ConstantForm(parse_poly("t^2+t", P13), 1, -1))),
+            (CTX1_5, CTX1_5.make_fundamental(ConstantForm(parse_poly("2*t+1", P5), -1, 1))),
+            # non-fundamental roots, below which every child is sorted by
+            # construction
+            (CTX1, CTX1.make_root(parse_poly("t+2", P13), 1)),
+            (CTX1, CTX1.make_root(parse_poly("t", P13), -1, -1, "constant")),
+            (CTX_T13, CTX_T13.make_root(parse_poly("t", P13), -1)),
+            (CTX_T5, CTX_T5.make_root(parse_poly("t^2+1", P5), 1)),
+        ],
+    )
+    def test_tree_is_built_node_by_node_from_the_moves(self, ctx, root):
+        depth = 5
+        assert ctx.generate_tree(root, depth) == tree_by_moves(ctx, sort_triple(root)[0], depth)
 
     def test_json_shares_one_object_per_polynomial(self):
         tree = CTX1.generate_tree(triple_of(GOLDEN_ROOT, P13), 5)
