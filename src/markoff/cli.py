@@ -20,22 +20,25 @@ above the parser's degree cap, a count with more digits than can be
 printed, and a factorization needing trial divisors above its cap or with
 more divisors than the divisor-terms cap.
 
-There is one parser per process: `build_parser` builds it on the first
-call of `main` and every later call reuses it.  Nothing mutates it, and
-each parse fills a fresh Namespace.  A well-formed command is parsed by its
-leaf subparser alone, found from its first one or two words.  When argv
-names no leaf, or the leaf leaves arguments over, the full parser parses
-argv again, so every usage error, help text and exit code is argparse's own.
+A well-formed command is parsed by a parser of its own, found from argv's
+first one or two words and built from the same function that adds the
+command's arguments to the full parser.  When argv names no command, or the
+command's parser leaves arguments over, the full parser parses argv again,
+so every usage error, help text and exit code is argparse's own.  Each
+parser is built on its first use in the process and reused by every later
+call; nothing mutates it, and each parse fills a fresh Namespace.  JSON
+strings are quoted by CPython's C encoder; only a float, an int subclass or
+an unsupported value loads the json package, to be written as json.dumps
+writes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 
 from . import euclid as euclid_mod
 from .counting import C_A_from_C_beta, count_C_beta, count_finite_field, cumulative_signatures
@@ -121,7 +124,16 @@ def _write_json(value, pad, write, ints):
         if isinstance(value, dict):
             kind = dict
         elif not isinstance(value, (list, tuple)):
-            write(json.dumps(value))
+            if value is None or value is True or value is False:
+                write("null" if value is None else "true" if value else "false")
+            elif kind is str:
+                write(encode_basestring_ascii(value))
+            else:
+                # floats, int subclasses and unsupported types (TypeError),
+                # as json.dumps writes them; only they load json
+                import json
+
+                write(json.dumps(value))
             return
     if not value:
         write("{}" if kind is dict else "[]")
@@ -266,83 +278,110 @@ def cmd_count_solutions(args) -> int:
 # parser
 
 
+def _common(p):
+    p.add_argument("--p", type=int, required=True, help="odd prime modulus")
+    p.add_argument("--A", required=True, help="parameter A as a polynomial expression")
+
+
+def _add_verify(p):
+    _common(p)
+    p.add_argument("--triple", required=True, help='triple as "(x; y; z)"')
+    p.set_defaults(func=cmd_verify)
+
+
+def _add_tree(p):
+    _common(p)
+    p.add_argument("--root", required=True, help='root triple as "(x; y; z)"')
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--format", choices=("json", "dot", "text"), default="json")
+    p.set_defaults(func=cmd_tree)
+
+
+def _add_descend(p):
+    _common(p)
+    p.add_argument("--triple", required=True, help='triple as "(x; y; z)"')
+    p.set_defaults(func=cmd_descend)
+
+
+def _add_euclid(p):
+    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--beta", type=int, required=True)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(func=cmd_euclid)
+
+
+def _add_count_signatures(p):
+    p.add_argument("--beta", type=int, required=True, help="deg A")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int, help="exact height")
+    group.add_argument("--H", type=int, help="cumulative bound (constant A only)")
+    p.set_defaults(func=cmd_count_signatures)
+
+
+def _add_count_solutions(p):
+    p.add_argument("--q", type=int, required=True, help="odd prime field size")
+    p.add_argument("--A", required=True, help="parameter A as a polynomial expression")
+    p.add_argument("--n", type=int, required=True, help="exact height")
+    p.add_argument("--brute", action="store_true", help="add brute-force census")
+    p.add_argument("--convention", choices=CONVENTIONS, default="degree_sorted")
+    p.add_argument(
+        "--solutions-out", metavar="PATH",
+        help="with --brute: also write the enumerated solutions as JSON-lines",
+    )
+    p.set_defaults(func=cmd_count_solutions)
+
+
+# each command's words and the function that adds its arguments to a parser
+_LEAVES = {
+    ("verify",): _add_verify,
+    ("tree",): _add_tree,
+    ("descend",): _add_descend,
+    ("euclid",): _add_euclid,
+    ("count", "signatures"): _add_count_signatures,
+    ("count", "solutions"): _add_count_solutions,
+}
+
+
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser, and the leaf subparser of each command's words."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="markoff",
         description="Markoff triples over F_p[t]: verification, trees, descent, counting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--p", type=int, required=True, help="odd prime modulus")
-        p.add_argument("--A", required=True, help="parameter A as a polynomial expression")
-
-    p_verify = sub.add_parser("verify", help="check a triple against the surface equation")
-    common(p_verify)
-    p_verify.add_argument("--triple", required=True, help='triple as "(x; y; z)"')
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_tree = sub.add_parser("tree", help="generate the branching tree from a root solution")
-    common(p_tree)
-    p_tree.add_argument("--root", required=True, help='root triple as "(x; y; z)"')
-    p_tree.add_argument("--depth", type=int, required=True)
-    p_tree.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    p_tree.set_defaults(func=cmd_tree)
-
-    p_descend = sub.add_parser("descend", help="descend a solution to its fundamental triple")
-    common(p_descend)
-    p_descend.add_argument("--triple", required=True, help='triple as "(x; y; z)"')
-    p_descend.set_defaults(func=cmd_descend)
-
-    p_euclid = sub.add_parser("euclid", help="layers of an (alpha,beta)-Euclid tree")
-    p_euclid.add_argument("--alpha", type=int, required=True)
-    p_euclid.add_argument("--beta", type=int, required=True)
-    p_euclid.add_argument("--depth", type=int, required=True)
-    p_euclid.add_argument("--format", choices=("json", "text"), default="json")
-    p_euclid.set_defaults(func=cmd_euclid)
-
+    _add_verify(sub.add_parser("verify", help="check a triple against the surface equation"))
+    _add_tree(sub.add_parser("tree", help="generate the branching tree from a root solution"))
+    _add_descend(sub.add_parser("descend", help="descend a solution to its fundamental triple"))
+    _add_euclid(sub.add_parser("euclid", help="layers of an (alpha,beta)-Euclid tree"))
     p_count = sub.add_parser("count", help="closed-form and brute-force counts")
     count_sub = p_count.add_subparsers(dest="what", required=True)
+    _add_count_signatures(count_sub.add_parser("signatures", help="signature counts C_beta / C_A"))
+    _add_count_solutions(count_sub.add_parser("solutions", help="finite-field solution counts"))
+    return parser
 
-    p_sig = count_sub.add_parser("signatures", help="signature counts C_beta / C_A")
-    p_sig.add_argument("--beta", type=int, required=True, help="deg A")
-    group = p_sig.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="exact height")
-    group.add_argument("--H", type=int, help="cumulative bound (constant A only)")
-    p_sig.set_defaults(func=cmd_count_signatures)
 
-    p_sol = count_sub.add_parser("solutions", help="finite-field solution counts")
-    p_sol.add_argument("--q", type=int, required=True, help="odd prime field size")
-    p_sol.add_argument("--A", required=True, help="parameter A as a polynomial expression")
-    p_sol.add_argument("--n", type=int, required=True, help="exact height")
-    p_sol.add_argument("--brute", action="store_true", help="add brute-force census")
-    p_sol.add_argument("--convention", choices=CONVENTIONS, default="degree_sorted")
-    p_sol.add_argument(
-        "--solutions-out", metavar="PATH",
-        help="with --brute: also write the enumerated solutions as JSON-lines",
-    )
-    p_sol.set_defaults(func=cmd_count_solutions)
-
-    leaves = {("verify",): p_verify, ("tree",): p_tree, ("descend",): p_descend,
-              ("euclid",): p_euclid, ("count", "signatures"): p_sig,
-              ("count", "solutions"): p_sol}
-    return parser, leaves
+@functools.cache
+def _leaf_parser(words: tuple) -> argparse.ArgumentParser:
+    """The parser of one command alone, as the full parser's subparser for
+    these words is built."""
+    parser = argparse.ArgumentParser(prog=" ".join(("markoff", *words)))
+    _LEAVES[words](parser)
+    return parser
 
 
 def _parse(argv):
-    """argv's Namespace, from its leaf subparser if that leaves nothing over."""
-    parser, leaves = build_parser()
+    """argv's Namespace, from its leaf parser if that leaves nothing over."""
     if argv is None:
         argv = sys.argv[1:]
     for k in (1, 2):
-        leaf = leaves.get(tuple(argv[:k]))
-        if leaf is not None:
-            args, extra = leaf.parse_known_args(argv[k:])
+        words = tuple(argv[:k])
+        if words in _LEAVES:
+            args, extra = _leaf_parser(words).parse_known_args(argv[k:])
             if not extra:
                 return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

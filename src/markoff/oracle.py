@@ -74,9 +74,15 @@ def _check_pairs(q, beta, max_height):
         raise BudgetExceeded("candidate pairs", pairs, MAX_CANDIDATE_PAIRS)
 
 
-def _polys_of_degree(q, d):
-    """Coefficient tuples of every polynomial of degree exactly d >= 0."""
-    return (low + (lead,) for lead in range(1, q) for low in product(range(q), repeat=d))
+def _polys_of_degree(q, d, digits=None):
+    """Coefficient tuples of every polynomial of degree exactly d >= 0, in
+    one fixed order.  digits, range(q) by default, gives the coefficient
+    written for each c in range(q): with [c*m % q for c in range(q)], m != 0,
+    each polynomial is m times the one in the same place of the default
+    order."""
+    if digits is None:
+        digits = range(q)
+    return (low + (lead,) for lead in digits[1:] for low in product(digits, repeat=d))
 
 
 def _solutions(ctx: MarkoffContext, height: int):
@@ -87,11 +93,16 @@ def _solutions(ctx: MarkoffContext, height: int):
     q = ctx.p.p
     if q % 4 == 1:
         # x = 0: z = +-i*y, with i found here and not by the process-cached
-        # sqrt_minus_one, so that every census makes the same _sqrt_int calls
+        # sqrt_minus_one, so that every census makes the same _sqrt_int calls;
+        # the three orders run in lockstep, so z is never computed
         i = _sqrt_int(q - 1, q)
-        for y in _polys_of_degree(q, height):
-            yield (), y, _smul(y, i, q)
-            yield (), y, _smul(y, q - i, q)
+        for y, z, w in zip(
+            _polys_of_degree(q, height),
+            _polys_of_degree(q, height, [c * i % q for c in range(q)]),
+            _polys_of_degree(q, height, [c * (q - i) % q for c in range(q)]),
+        ):
+            yield (), y, z
+            yield (), y, w
     span = height - ctx.beta
     if span < 0:
         return

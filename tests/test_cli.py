@@ -714,23 +714,38 @@ MIXED_CALLS = (
 )
 
 
+# each command's parser, in the order MIXED_CALLS first names the command
+LEAF_PROGS = [
+    "markoff count signatures", "markoff verify", "markoff tree", "markoff descend",
+    "markoff euclid", "markoff count solutions",
+]
+
+
 class TestParserReuse:
     def test_no_parser_is_built_after_the_first_call(self, capsys, monkeypatch):
         built = count_parser_builds(monkeypatch)
+        cli._leaf_parser.cache_clear()
         cli.build_parser.cache_clear()
         assert call(capsys, MIXED_CALLS[0])[0] == 0
-        assert built[0] == "markoff"  # the first call builds the parser
-        built.clear()
+        assert built == ["markoff count signatures"]  # its own parser alone
         codes = [call(capsys, MIXED_CALLS[k % len(MIXED_CALLS)])[0] for k in range(50)]
         assert set(codes) == {0, 1, 2, 3}
+        assert built == LEAF_PROGS  # each command's first call built one parser
+        built.clear()
+        assert call(capsys, EXTRA)[0] == 2
+        assert built[0] == "markoff"  # the full parser, with its subparsers
+        built.clear()
+        assert call(capsys, EXTRA)[0] == 2
         assert built == []
 
     def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
         reused = [call(capsys, argv) for argv in MIXED_CALLS]
         built = count_parser_builds(monkeypatch)
+        monkeypatch.setattr(cli, "_leaf_parser", cli._leaf_parser.__wrapped__)
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         fresh = [call(capsys, argv) for argv in MIXED_CALLS]
-        assert built.count("markoff") == len(MIXED_CALLS)
+        assert built == [" ".join(["markoff", *argv[:2 if argv[0] == "count" else 1]])
+                         for argv in MIXED_CALLS]
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 2, 0, 3, 0, 0, 0, 0, 0]
 
@@ -790,8 +805,7 @@ class TestLeafDispatch:
         corpus = list(LEAF_CORPUS)
         corpus += [shlex.split(line.split(" > ", 1)[0])[1:] for line in readme_commands()]
         leaf = [call(capsys, argv) for argv in corpus]
-        parser, _ = cli.build_parser()
-        monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))  # no leaf: full parser
+        monkeypatch.setattr(cli, "_LEAVES", {})  # no command's parser: the full parser
         assert [call(capsys, argv) for argv in corpus] == leaf
         assert {code for code, _, _ in leaf} == {0, 1, 2}
 
@@ -806,7 +820,7 @@ class TestLeafDispatch:
         assert (code, *capsys.readouterr()) == expected
 
     def test_only_a_malformed_command_reaches_the_full_parser(self, capsys, monkeypatch):
-        parser, _ = cli.build_parser()
+        parser = cli.build_parser()
         full = []
         parse_args = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda argv: full.append(argv) or parse_args(argv))

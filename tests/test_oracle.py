@@ -4,7 +4,7 @@ import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,7 @@ from markoff import oracle
 from markoff.errors import AllConstant, BudgetExceeded
 from markoff.oracle import (
     C_BETA_ORACLE_MAX_N,
+    _polys_of_degree,
     census,
     enumerate_solutions,
     oracle_C_beta,
@@ -38,7 +39,7 @@ from markoff.oracle import (
 )
 from markoff.counting import count_C_beta, count_E
 from markoff.euclid import TreeId
-from markoff.field import PrimeModulus
+from markoff.field import PrimeModulus, _sqrt_int
 from markoff.poly import Polynomial, _mul, _smul, _sqrt_coeffs
 from markoff.triples import MarkoffTriple, is_fundamental, sort_triple
 
@@ -185,6 +186,18 @@ class TestEnumerate:
         }
         # two roots +-i*y for each y of degree 1..n
         assert closed == roots and len(roots) == 2 * (q ** (n + 1) - q)
+
+    @pytest.mark.parametrize("q", [5, 13, 17, 29])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_x_family_is_i_times_y_in_order(self, q, n):
+        # the lockstep orders yield, in place, what _smul(y, +-i) gives
+        i = _sqrt_int(q - 1, q)
+        reference = (
+            ((), y, _smul(y, k, q)) for y in _polys_of_degree(q, n) for k in (i, q - i)
+        )
+        count = 2 * (q - 1) * q**n
+        family = islice(oracle._solutions(context(PrimeModulus(q), "t"), n), count)
+        assert all(got == want for got, want in zip_longest(family, reference))
 
     def test_deterministic_order(self):
         ctx = context(P5, "t")

@@ -118,3 +118,59 @@ def test_cli_import_loads_no_typing():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def _fresh_process(body):
+    """stdout of `body` run under python -I -S after importing markoff.cli,
+    with `run(argv)` calling main with stdout captured."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import contextlib, io\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert markoff.cli.main(argv) == 0, argv\n"
+        f"{body}\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
+VERIFY = ["verify", "--p", "13", "--A", "1", "--triple", "(t; t+2*i; t^2+2*i*t-2)"]
+
+
+def test_commands_load_no_json():
+    # the writer quotes strings with _json's encoder and writes true, false
+    # and null itself, so no command of this list imports json; the library
+    # modules that bench/workloads.execute finds in sys.modules stay loaded
+    out = _fresh_process(
+        "import markoff.cli\n"
+        f"run({VERIFY!r})\n"
+        "run(['descend', '--p', '13', '--A', '1', '--triple', '(t; t+2*i; t^2+2*i*t-2)'])\n"
+        "run(['tree', '--p', '13', '--A', '1', '--root', '(t; t+2*i; t^2+2*i*t-2)',"
+        " '--depth', '2', '--format', 'json'])\n"
+        "run(['euclid', '--alpha', '1', '--beta', '0', '--depth', '3'])\n"
+        "run(['count', 'signatures', '--beta', '1', '--n', '5'])\n"
+        "run(['count', 'solutions', '--q', '5', '--A', 't', '--n', '2'])\n"
+        "print(sorted(sys.modules))"
+    )
+    modules = set(ast.literal_eval(out))
+    assert "json" not in modules
+    assert {"markoff.oracle", "markoff.euclid", "markoff.counting"} <= modules
+
+
+def test_well_formed_command_builds_one_parser():
+    out = _fresh_process(
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import markoff.cli\n"
+        f"run({VERIFY!r})\n"
+        "print(built)"
+    )
+    assert ast.literal_eval(out) == ["markoff verify"]
