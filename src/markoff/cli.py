@@ -243,9 +243,7 @@ def cmd_euclid(args) -> int:
 def cmd_count_signatures(args) -> int:
     if args.H is not None:
         report = cumulative_signatures(args.H, args.beta)
-        out = {"beta": args.beta, "H": args.H}
-        out.update(report.to_json())
-        _emit(out)
+        _emit({"beta": args.beta, "H": args.H, **report.to_json()})
     else:
         report = count_C_beta(args.beta, args.n)
         _emit(
@@ -268,9 +266,7 @@ def cmd_count_solutions(args) -> int:
         _emit(census(ctx, args.n, args.convention, solutions_out=args.solutions_out).to_json())
     else:
         report = count_finite_field(args.q, ctx.beta, args.n)
-        out = {"q": args.q, "beta": ctx.beta, "n": args.n}
-        out.update(report.to_json())
-        _emit(out)
+        _emit({"q": args.q, "beta": ctx.beta, "n": args.n, **report.to_json()})
     return 0
 
 

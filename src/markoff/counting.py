@@ -151,6 +151,8 @@ def signature_count(q: int, beta: int, signature) -> tuple[int, str | None]:
     2(q-1)q^n fundamental ones, and (0, n, n) 4(q-1)q^n if beta = 0.  Else c =
     a + b + beta; g = gcd(a + beta, b + beta) = beta gives 2(q-1) in constant
     orbits, g > beta m(q-1)q^(g-beta) non-fundamental ones, m = 2 if beta else 6."""
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
     a, b, c = signature
     if q % 4 == 3 or not -1 <= a <= b <= c or c < 1:
         return 0, None
@@ -178,6 +180,8 @@ class CumulativeReport(Record):
 def cumulative_signatures(H: int, beta: int = 0) -> CumulativeReport:
     """Sum of C_A(n) for n <= H with the exact sandwich bounds
     (H^2+5H)/4 < total <= (H^2+9H)/4.  Only defined for constant A."""
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
     if beta != 0:
         raise NonConstantA("cumulative sandwich bounds require constant A")
     if H < 1:
@@ -205,6 +209,8 @@ def count_finite_field(q: int, beta: int, n: int) -> CountReport:
     For q = 3 (mod 4) the solution set is empty; the report carries value 0
     with an explicit flag rather than a vacuous formula evaluation.
     """
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
     if beta < 1:
         raise ConstantANotSupported(
             "no closed-form finite-field count for constant A; "

@@ -58,12 +58,6 @@ class PrimeModulus(Record):
             raise ValueError(f"modulus must be an odd prime, got {p}")
         _set(self, "p", p)
 
-    def __eq__(self, other):
-        return self.p == other.p if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.p,))
-
     def __repr__(self):
         return f"PrimeModulus({self.p})"
 

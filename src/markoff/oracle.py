@@ -127,7 +127,7 @@ def _solutions(ctx: MarkoffContext, height: int):
     ]
     a_coeffs = ctx.A.coeffs
     a2 = square_values(a_coeffs)
-    inv2 = pow(2, q - 2, q)
+    inv2 = pow(2, -1, q)
     for a in range(span // 2 + 1):
         for x, x2, xv in by_degree[a]:
             ax = _mul(a_coeffs, x, q)

@@ -2,13 +2,12 @@
 
 Coefficients are stored as a tuple of canonical integers in ascending power
 order with no trailing zeros; the zero polynomial has an empty tuple and
-degree NEG_INF.  The tuple kernels `_mul`, `_mul_sub`, `_add`, `_sub`,
-`_smul`, `_pow` and `_reduce` (integers mod p, trailing zeros stripped) are
-the one copy of F_p[t] arithmetic: `Polynomial` and the parser do none of
-their own, and the solution enumerator and tree growth call the kernels
-directly.  `_mul` multiplies small operands by the schoolbook loop and
-larger ones by Kronecker substitution (one big-integer product), and
-`_mul_sub`, a*b - c, takes c off inside that product; `_pow` squares and
+degree NEG_INF.  The tuple kernels `_mul`, `_add`, `_sub`, `_smul`, `_pow`
+and `_reduce` (integers mod p, trailing zeros stripped) are the one copy of
+F_p[t] arithmetic: `Polynomial` and the parser do none of their own, and the
+solution enumerator and tree growth call the kernels directly.  `_mul`
+multiplies small operands by the schoolbook loop and larger ones by
+Kronecker substitution (one big-integer product); `_pow` squares and
 multiplies with `_mul`.  A small expression parser and a deterministic
 renderer (plain residues, or minimal-magnitude forms using i = sqrt(-1))
 round-trip polynomials through text.
@@ -102,32 +101,6 @@ def _mul(a, b, p):
     return tuple([v % p for v in c])
 
 
-def _mul_sub(a, b, c, p):
-    """a*b - c, the product and the difference in one pass over the digits."""
-    if len(a) < len(b):
-        a, b = b, a
-    n = len(b)
-    if n >= 2 and n * len(a) >= KRONECKER_MIN_PAIRS and len(c) < len(a) + n:
-        # _mul's Kronecker substitution, with p - c_k added to digit k of the
-        # product: every digit stays in [1, (p-1)^2 * n + p], so none borrows
-        # or carries, and one pass mod p reduces the difference
-        width = (((p - 1) ** 2 * n + p).bit_length() + 7) // 8
-        if width <= 8:
-            code = _SLOT_CODES[width]
-            x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
-            y = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
-            ps = int.from_bytes((array(code, (p,)) * len(c)).tobytes(), sys.byteorder)
-            cs = int.from_bytes(array(code, c).tobytes(), sys.byteorder)
-            digits = (x * y + (ps - cs)).to_bytes(
-                (len(a) + n - 1) * array(code).itemsize, sys.byteorder
-            )
-            d = [v % p for v in memoryview(digits).cast(code)]
-            while d and d[-1] == 0:
-                d.pop()
-            return tuple(d)
-    return _sub(_mul(a, b, p), c, p)
-
-
 def _add(a, b, p):
     if len(a) < len(b):
         a, b = b, a
@@ -191,14 +164,6 @@ class Polynomial(Record):
         _set(self, "modulus", modulus)
         _set(self, "coeffs", coeffs)
         return self
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.modulus.p == other.modulus.p
-
-    def __hash__(self):
-        return hash((self.modulus, self.coeffs))
 
     # ------------------------------------------------------------------
     # constructors
@@ -315,7 +280,7 @@ def _sqrt_coeffs(f, p):
     m = deg // 2
     g = [0] * (m + 1)
     g[m] = lead
-    inv2lead = pow(2 * lead, p - 2, p)
+    inv2lead = pow(2 * lead, -1, p)
     # match coefficients of t^(m+k) for k = m-1 .. 0
     for k in range(m - 1, -1, -1):
         acc = 0
@@ -562,7 +527,7 @@ def renderer(modulus: PrimeModulus, style: str = "plain"):
         i = sqrt_minus_one(modulus)
         if i is None:
             raise IUnavailable(f"with_i rendering needs p = 1 (mod 4), got p = {p}")
-        inv_i = pow(i, p - 2, p)
+        inv_i = pow(i, -1, p)
     factors = _Factors(p, inv_i).__getitem__
     powers = ["", "t"]  # powers[k] is the text of t^k for k >= 1
 

@@ -3,7 +3,8 @@
 `dataclasses` loads `inspect` and compiles each class's methods with `exec`,
 which costs more than most commands.  A record's fields are its `__slots__`,
 set by its own straight-line `__init__` through `_set`; the base compares,
-hashes, prints and pickles by them and refuses assignment and deletion.
+hashes, prints and pickles by them and refuses assignment and deletion.  A
+record equals itself at once, so checking a shared modulus is one `is` test.
 """
 
 _set = object.__setattr__
@@ -16,6 +17,8 @@ class Record:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

@@ -23,7 +23,7 @@ from .errors import (
     UnclassifiableInput,
 )
 from .field import PrimeModulus, sqrt_minus_one
-from .poly import Polynomial, _mul, _mul_sub, renderer
+from .poly import Polynomial, _mul, _sub, renderer
 from .record import Record, _set
 
 # The deepest tree generate_tree builds, 2^13 - 1 nodes.  It bounds the node
@@ -350,7 +350,7 @@ class MarkoffContext(Record):
                 raise ConstantFormNeedsConstantA(
                     f"constant family needs deg A = 0, got deg A = {self.beta}"
                 )
-            inv_A = pow(self.A.coeffs[0], self.p.p - 2, self.p.p)
+            inv_A = pow(self.A.coeffs[0], -1, self.p.p)
             x = Polynomial.constant(self.p, 2 * form.a * inv_A)
             y = form.f.scalar_mul(form.a) + (i * x).scalar_mul(form.sign)
             return MarkoffTriple(x, y, form.f)
@@ -406,8 +406,8 @@ class MarkoffContext(Record):
         x, y, z = triple.coords
         p, top = self.p.p, len(z.coeffs)
         az = _mul(self.A.coeffs, z.coeffs, p)
-        x1 = Polynomial._make(self.p, _mul_sub(az, y.coeffs, x.coeffs, p))
-        y2 = Polynomial._make(self.p, _mul_sub(az, x.coeffs, y.coeffs, p))
+        x1 = Polynomial._make(self.p, _sub(_mul(az, y.coeffs, p), x.coeffs, p))
+        y2 = Polynomial._make(self.p, _sub(_mul(az, x.coeffs, p), y.coeffs, p))
         if len(x1.coeffs) > top:
             first = MarkoffTriple(y, z, x1)
         else:

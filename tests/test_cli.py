@@ -840,6 +840,8 @@ class TestInputChecks:
             ((*TestTree.ROOT_ARGS, "--depth", "-1"), "depth must be non-negative"),
             (("descend", "--p", "5", "--A", "t", "--triple", "(0; 0; 0)"),
              "descent needs a triple of positive height"),
+            (("count", "signatures", "--beta", "-1", "--n", "5"), "beta must be non-negative"),
+            (("count", "signatures", "--beta", "-1", "--H", "5"), "beta must be non-negative"),
         ],
     )
     def test_refused_input_exits_two(self, capsys, argv, message):

@@ -248,6 +248,21 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^H must be positive$"):
             cumulative_signatures(0)
 
+    # a negative beta is checked before every other input, constant A's
+    # refusals included
+    @pytest.mark.parametrize(
+        "count, args",
+        [
+            (count_C_beta, (-1, 5)),
+            (counting.signature_count, (5, -1, (1, 2, 2))),
+            (count_finite_field, (5, -1, 3)),
+            (cumulative_signatures, (5, -1)),
+        ],
+    )
+    def test_beta_must_be_non_negative(self, count, args):
+        with pytest.raises(ValueError, match="^beta must be non-negative$"):
+            count(*args)
+
 
 def _prime_1_mod_4(start):
     """The least prime q >= start with q = 1 (mod 4)."""

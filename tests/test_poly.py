@@ -24,7 +24,6 @@ from markoff.poly import (
     Polynomial,
     _add,
     _mul,
-    _mul_sub,
     _pow,
     _sub,
     parse_poly,
@@ -260,38 +259,6 @@ def kernel_operands(draw, max_len=40):
     return p, coeffs(), coeffs()
 
 
-@st.composite
-def mul_sub_operands(draw):
-    """A prime, two canonical tuples a and b of schoolbook or Kronecker
-    sizes, and a canonical c that is empty, random and no longer than a*b,
-    longer than a*b, a*b itself, or a*b with only its lower terms changed."""
-    p = draw(st.sampled_from(KERNEL_PRIMES + (P_WIDE.p,)))
-
-    def coeffs(n):
-        if n == 0:
-            return ()
-        body = draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
-        return tuple(body) + (draw(st.integers(1, p - 1)),)
-
-    a = coeffs(draw(st.integers(0, 40)))
-    b = coeffs(draw(st.integers(0, 40)))
-    product = _mul(a, b, p)
-    kind = draw(st.sampled_from(("empty", "shorter", "longer", "cancel", "partial")))
-    if kind == "empty":
-        c = ()
-    elif kind == "shorter":
-        c = coeffs(draw(st.integers(0, max(len(a) + len(b) - 1, 0))))
-    elif kind == "longer":
-        c = coeffs(draw(st.integers(len(a) + len(b), len(a) + len(b) + 5)))
-    elif kind == "cancel":
-        c = product
-    else:
-        # the top terms of a*b, from index k up, and random ones below
-        k = draw(st.integers(0, max(len(product) - 1, 0)))
-        c = stripped(coeffs(k + 1)[:k] + product[k:])
-    return p, a, b, c
-
-
 class TestKernelEquivalence:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(kernel_operands())
@@ -337,43 +304,6 @@ class TestKernelEquivalence:
         assert _sub(a, b, p) == stripped((u - v) % p for u, v in zip(pa, pb))
         assert _sub(a, a, p) == ()
         assert _add(a, tuple(-v % p for v in a), p) == ()
-
-    # mul_sub_operands draws each branch of _mul_sub: schoolbook and
-    # Kronecker sizes, a slot over 8 bytes at P_WIDE with four or more pairs
-    # per digit, c longer than the product, empty c, and c that cancels the
-    # product's top terms or all of it; the examples pin one of each
-    @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(mul_sub_operands())
-    @example((13, (1, 2), (3, 4, 5), (1, 1)))  # schoolbook: 6 pairs
-    @example((13, (1,) * 5, (2,) * 6, (3,) * 7))  # Kronecker, 2-byte slots
-    @example((P_WIDE.p, (P_WIDE.p - 1,) * 5, (P_WIDE.p - 1,) * 5, (1,)))  # slot over 8 bytes
-    @example((P_WIDE.p, (P_WIDE.p - 1,) * 3, (P_WIDE.p - 1,) * 9, (5,)))  # 8-byte slots
-    @example((13, (1,) * 5, (2,) * 6, (1,) * 11))  # c longer than the product
-    @example((13, (1,) * 5, (2,) * 6, ()))  # empty c
-    @example((13, (1,) * 5, (2,) * 6, (2, 4, 6, 8, 10, 10, 8, 6, 4, 2)))  # all cancels
-    @example((13, (1,) * 5, (2,) * 6, (0, 4, 6, 8, 10, 10, 8, 6, 4, 2)))  # all but t^0
-    def test_mul_sub_matches_mul_then_sub(self, operands):
-        p, a, b, c = operands
-        assert _mul_sub(a, b, c, p) == _sub(_mul(a, b, p), c, p)
-        assert _mul_sub(b, a, c, p) == _sub(_mul(a, b, p), c, p)
-
-    @pytest.mark.parametrize("p", KERNEL_PRIMES + (7, P_WIDE.p))
-    def test_mul_sub_no_carry_or_borrow_between_slots(self, p):
-        # the largest digit, (p-1)^2 * n + p, comes where every pair is
-        # (p-1)^2 and c is 0, the least, 1, where the product is 0 and c is
-        # p - 1; take n just at and just past each slot size's limit.  At
-        # p = 7 and n = 7 that digit, 259, needs a second byte only for its + p
-        lengths = {1, 2, 4, 5}
-        for bits in (8, 16, 32, 64):
-            n = (2**bits - 1 - p) // (p - 1) ** 2
-            lengths |= {n, n + 1}
-        for n in sorted(n for n in lengths if 1 <= n <= 600):
-            a = (p - 1,) * n
-            for c in ((0,) * (2 * n - 2) + (1,), (p - 1,) * (2 * n - 1)):
-                assert _mul_sub(a, a, c, p) == _sub(schoolbook_mul(a, a, p), c, p), n
-            sparse = (p - 1,) + (0,) * (n - 1) + (1,)
-            c = (p - 1,) * (2 * n + 1)
-            assert _mul_sub(sparse, sparse, c, p) == _sub(schoolbook_mul(sparse, sparse, p), c, p)
 
     # the expression-tree property raises powers with Polynomial.__pow__,
     # which shares _pow with the parser; these check _pow on its own

@@ -125,6 +125,28 @@ def test_unequal_records_hash_apart():
     assert len({Swap(1, 2), DoubleNeg(1, 2), RHO, Rho()}) == 3
 
 
+def test_equal_over_distinct_but_equal_moduli():
+    # records built on two separate PrimeModulus(13) objects compare their
+    # moduli field by field, not by identity
+    m, n = PrimeModulus(13), PrimeModulus(13)
+    assert m is not n and m == n and hash(m) == hash(n)
+    f, g = Polynomial(m, [3, 1]), Polynomial(n, [3, 1])
+    assert f == g and g == f and not f != g and hash(f) == hash(g)
+    assert {f: "f"}[g] == "f" and len({f, g}) == 1
+    triple = MarkoffTriple(Polynomial.t(m), Polynomial.t(n), Polynomial.zero(m))
+    assert triple == MarkoffTriple(Polynomial.t(n), Polynomial.t(m), Polynomial.zero(n))
+    A = Polynomial.constant(PrimeModulus(13), 1)
+    assert MarkoffContext(PrimeModulus(13), A).is_solution(triple_of("(t; t+2*i; t^2+2*i*t-2)", m))
+    with pytest.raises(ModulusMismatch, match="^triple coordinates use different moduli$"):
+        MarkoffTriple(Polynomial.t(m), Polynomial.t(PrimeModulus(17)), Polynomial.t(n))
+
+
+def test_polynomial_never_equals_its_tuples():
+    f = Polynomial(PrimeModulus(13), [3, 1])
+    for other in (f.coeffs, (3, 1), (f.modulus, f.coeffs), [3, 1]):
+        assert f != other and other != f and not f == other
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_assignment_and_deletion_raise(name):
     build, field, _ = RECORDS[name]
