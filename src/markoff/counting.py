@@ -153,6 +153,8 @@ def signature_count(q: int, beta: int, signature) -> tuple[int, str | None]:
     orbits, g > beta m(q-1)q^(g-beta) non-fundamental ones, m = 2 if beta else 6."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
+    if not is_prime(q) or q == 2:
+        raise ValueError(f"q must be an odd prime, got {q}")
     a, b, c = signature
     if q % 4 == 3 or not -1 <= a <= b <= c or c < 1:
         return 0, None

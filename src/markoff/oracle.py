@@ -162,15 +162,13 @@ def _weight(triple, ordered):
     return 0 if tied and u > v else 6 if ordered else 1 + tied
 
 
-def _triples(ctx: MarkoffContext, solutions, convention: str):
-    """One MarkoffTriple at a time, in sorted order, from `_solutions`'
-    tuples, or for ordered from every coordinate order of them."""
+def _triples(solutions, convention: str) -> list:
+    """`_solutions`' coefficient-tuple triples, or for ordered every
+    coordinate order of them, in one sorted list: what a solutions file holds
+    and what `enumerate_solutions` wraps as records."""
     if convention == "ordered":
         solutions = (o for t in solutions if _weight(t, True) for o in permutations(t))
-    mod = ctx.p
-    make = Polynomial._make
-    for x, y, z in sorted(solutions):
-        yield MarkoffTriple(make(mod, x), make(mod, y), make(mod, z))
+    return sorted(solutions)
 
 
 def enumerate_solutions(
@@ -186,18 +184,32 @@ def enumerate_solutions(
     _check_convention(convention)
     _check_pairs(ctx.p.p, ctx.beta, max_height)
     solutions = (t for h in range(1, max_height + 1) for t in _solutions(ctx, h))
-    return list(_triples(ctx, solutions, convention))
+    mod = ctx.p
+    make = Polynomial._make
+    return [
+        MarkoffTriple(make(mod, x), make(mod, y), make(mod, z))
+        for x, y, z in _triples(solutions, convention)
+    ]
+
+
+def _write_lines(fp, p, triples, lengths):
+    """Write coefficient-tuple triples over F_p to fp as JSON-lines, one
+    triple per line: the text of json.dumps(triple.to_json(),
+    separators=(",", ":")).  Each coordinate is one %-format of the template
+    for its length, and `lengths` holds every length that occurs."""
+    coord = {k: '{"p":%d,"coeffs":[%s]}' % (p, ",".join(["%d"] * k)) for k in lengths}
+    fp.writelines(
+        '{"x":%s,"y":%s,"z":%s}\n' % (coord[len(x)] % x, coord[len(y)] % y, coord[len(z)] % z)
+        for x, y, z in triples
+    )
 
 
 def write_solutions_jsonl(solutions, fp):
-    """Stream triples as JSON-lines, one triple JSON object per line: the
-    text of json.dumps(triple.to_json(), separators=(",", ":")), built by
-    joining the coefficients."""
+    """Stream `MarkoffTriple`s, over any moduli, as JSON-lines, one triple
+    JSON object per line (`_write_lines`)."""
     for triple in solutions:
-        fp.write('{"x":%s,"y":%s,"z":%s}\n' % tuple(
-            '{"p":%d,"coeffs":[%s]}' % (f.modulus.p, ",".join(map(str, f.coeffs)))
-            for f in (triple.x, triple.y, triple.z)
-        ))
+        x, y, z = (f.coeffs for f in triple.coords)
+        _write_lines(fp, triple.x.modulus.p, ((x, y, z),), {len(x), len(y), len(z)})
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +303,8 @@ def census(
         with open(solutions_out, "w", encoding="utf-8") as fp:
             solutions = list(solutions)
             lower = (t for h in range(1, n) for t in _solutions(ctx, h))
-            write_solutions_jsonl(_triples(ctx, chain(lower, solutions), convention), fp)
+            # no coordinate of height <= n has more than n + 1 coefficients
+            _write_lines(fp, ctx.p.p, _triples(chain(lower, solutions), convention), range(n + 2))
 
     counts = {"fundamental": 0, "nonfundamental": 0, "constant_orbit": 0}
     for triple in solutions:

@@ -33,7 +33,7 @@ import re
 import sys
 from array import array
 from itertools import compress
-from operator import add
+from operator import add, index
 
 from .errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
 from .field import PrimeModulus, _sqrt_int, sqrt_minus_one
@@ -155,7 +155,7 @@ class Polynomial(Record):
 
     def __init__(self, modulus: PrimeModulus, coeffs=()):
         _set(self, "modulus", modulus)
-        _set(self, "coeffs", _reduce(map(int, coeffs), modulus.p))
+        _set(self, "coeffs", _reduce(map(index, coeffs), modulus.p))
 
     @classmethod
     def _make(cls, modulus, coeffs):

@@ -181,12 +181,18 @@ def sort_triple(triple: MarkoffTriple) -> tuple[MarkoffTriple, GroupWord]:
         raise AllConstant("all coordinates are constant")
     coords = list(triple.coords)
     word = []
-    # bubble sort, strict comparison: stable on equal degrees
+    _bubble_sort(coords, lambda f: f.degree, word)
+    return MarkoffTriple(*coords), tuple(word)
+
+
+def _bubble_sort(coords, size, word):
+    """Sort a list of three coordinates in place by size, appending the Swap
+    of each exchange to word: a bubble sort with strict comparison, so stable
+    on equal sizes."""
     for i, j in ((0, 1), (1, 2), (0, 1)):
-        if coords[i].degree > coords[j].degree:
+        if size(coords[i]) > size(coords[j]):
             coords[i], coords[j] = coords[j], coords[i]
             word.append(Swap(i + 1, j + 1))
-    return MarkoffTriple(*coords), tuple(word)
 
 
 def is_fundamental(triple: MarkoffTriple) -> bool:
@@ -314,12 +320,20 @@ class MarkoffContext(Record):
         # forever.
         current, word = sort_triple(triple)
         parts = list(word)
-        while not is_fundamental(current):
-            if (image := self.apply_generator(current, RHO)).height() <= 0:
-                raise AllConstant(triple, image)
-            current, step = sort_triple(image)
-            parts += (RHO, *step)
-        return DescentResult(fundamental=current, word=tuple(parts))
+        # each step, rho (x, y, z) -> (x, y, A*x*y - z) and then the stable
+        # sort, runs on coefficient tuples, whose lengths order as their
+        # degrees; a sorted triple is fundamental when deg y = deg z
+        p, a, make = self.p.p, self.A.coeffs, Polynomial._make
+        coords = [f.coeffs for f in current.coords]
+        while len(coords[1]) != len(coords[2]):
+            x, y, z = coords
+            coords[2] = _sub(_mul(_mul(a, x, p), y, p), z, p)
+            if max(map(len, coords)) <= 1:
+                raise AllConstant(triple, MarkoffTriple(*(make(self.p, c) for c in coords)))
+            parts.append(RHO)
+            _bubble_sort(coords, len, parts)
+        fundamental = MarkoffTriple(*(make(self.p, c) for c in coords))
+        return DescentResult(fundamental=fundamental, word=tuple(parts))
 
     # ------------------------------------------------------------------
     # fundamental triples

@@ -21,7 +21,15 @@ from markoff.poly import (
     parse_poly,
 )
 from markoff.oracle import _polys_of_degree, _solutions, enumerate_solutions
-from markoff.triples import MarkoffContext, MarkoffTriple, TreeNode, is_fundamental, sort_triple
+from markoff.triples import (
+    RHO,
+    DescentResult,
+    MarkoffContext,
+    MarkoffTriple,
+    TreeNode,
+    is_fundamental,
+    sort_triple,
+)
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -115,6 +123,31 @@ def census_by_triple(ctx, n, convention):
         else:
             nonfundamental += 1
     return fundamental, nonfundamental, constant_orbit
+
+
+def descend_by_moves(ctx, triple):
+    """Reference descent by the public record moves: sort_triple, then
+    apply_generator(RHO) and sort_triple again until the two highest degrees
+    are equal.  Returns the DescentResult, or raises AllConstant(triple,
+    image) at the first all-constant image."""
+    ctx.require_solution(triple)
+    current, word = sort_triple(triple)
+    parts = list(word)
+    while current.y.degree != current.z.degree:
+        image = ctx.apply_generator(current, RHO)
+        if image.height() <= 0:
+            raise AllConstant(triple, image)
+        current, step = sort_triple(image)
+        parts += (RHO, *step)
+    return DescentResult(current, tuple(parts))
+
+
+def descent_outcome(descend, ctx, triple):
+    """("result", DescentResult) or ("constant", AllConstant args) of one descent."""
+    try:
+        return "result", descend(ctx, triple)
+    except AllConstant as err:
+        return "constant", err.args
 
 
 def value_at(f: Polynomial, c: int) -> int:

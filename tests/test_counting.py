@@ -263,6 +263,16 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^beta must be non-negative$"):
             count(*args)
 
+    # the per-signature identity takes the q that count_finite_field takes,
+    # with its message, after the beta check
+    @pytest.mark.parametrize("q", [1, 2, 9, 15])
+    def test_signature_count_q_must_be_an_odd_prime(self, q):
+        for count, args in ((counting.signature_count, (1, (1, 1, 3))), (count_finite_field, (1, 3))):
+            with pytest.raises(ValueError, match=f"^q must be an odd prime, got {q}$"):
+                count(q, *args)
+        with pytest.raises(ValueError, match="^beta must be non-negative$"):
+            counting.signature_count(q, -1, (1, 1, 3))
+
 
 def _prime_1_mod_4(start):
     """The least prime q >= start with q = 1 (mod 4)."""

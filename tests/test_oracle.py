@@ -18,6 +18,8 @@ from helpers import (
     budget_fields,
     census_by_triple,
     context,
+    descend_by_moves,
+    descent_outcome,
     nonconstant_polys,
     signature_buckets,
     solutions_by_discriminant,
@@ -41,7 +43,7 @@ from markoff.counting import count_C_beta, count_E
 from markoff.euclid import TreeId
 from markoff.field import PrimeModulus, _sqrt_int
 from markoff.poly import Polynomial, _mul, _smul, _sqrt_coeffs
-from markoff.triples import MarkoffTriple, is_fundamental, sort_triple
+from markoff.triples import MarkoffContext, MarkoffTriple, is_fundamental, sort_triple
 
 
 class TestEnumerate:
@@ -265,12 +267,57 @@ class TestWriteSolutions:
         triples = enumerate_solutions(context(P5, "t"), 1, "ordered")[:40] + [
             MarkoffTriple(Polynomial(big, ()), Polynomial(big, (2**31, 1)), Polynomial(big, (7,))),
             MarkoffTriple(Polynomial(P13, (0, 0, 12)), Polynomial(P13, (1,)), Polynomial(P13, ())),
+            MarkoffTriple(Polynomial(P5, (1, 2)), Polynomial(P5, ()), Polynomial(P5, (4,))),
         ]
         assert any(not P.x.coeffs for P in triples)
         fp = io.StringIO()
         oracle.write_solutions_jsonl(iter(triples), fp)
         expected = "".join(json.dumps(P.to_json(), separators=(",", ":")) + "\n" for P in triples)
         assert fp.getvalue() == expected
+
+
+# the x = 0 family for every A, constant A, and (7, t, 2) with no x = 0 family
+SOLUTIONS_FILE_GRID = [
+    *((5, a, n) for a in ("t", "t+3", "t^2", "1", "2") for n in (1, 2, 3)),
+    (13, "t", 2),
+    (13, "1", 2),
+    (7, "t", 2),
+]
+
+
+class TestSolutionsFile:
+    @pytest.mark.parametrize("convention", ["ordered", "degree_sorted"])
+    @pytest.mark.parametrize("q, a_expr, n", SOLUTIONS_FILE_GRID)
+    def test_census_file_is_the_enumerated_records_written(self, q, a_expr, n, convention,
+                                                           tmp_path):
+        # the census writes its tuples straight to the file; the bytes are
+        # those of the public records path
+        ctx = context(PrimeModulus(q), a_expr)
+        path = tmp_path / "s.jsonl"
+        census(ctx, n, convention, solutions_out=str(path))
+        fp = io.StringIO()
+        oracle.write_solutions_jsonl(enumerate_solutions(ctx, n, convention), fp)
+        assert path.read_bytes() == fp.getvalue().encode()
+        assert fp.getvalue() or q == 7
+
+    @pytest.mark.parametrize("q, a_expr, n", [(5, "t", 3), (5, "1", 3), (13, "t", 2)])
+    @pytest.mark.parametrize("convention", ["ordered", "degree_sorted"])
+    def test_file_builds_no_triple_record(self, q, a_expr, n, convention, monkeypatch, tmp_path):
+        # only descent builds MarkoffTriples, so the file adds none
+        built = []
+        init = MarkoffTriple.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(MarkoffTriple, "__init__", counted)
+        ctx = context(PrimeModulus(q), a_expr)
+        census(ctx, n, convention)
+        without = len(built)
+        built.clear()
+        census(ctx, n, convention, solutions_out=str(tmp_path / "s.jsonl"))
+        assert len(built) == without > 0
 
 
 SIGNATURE_GRID = [
@@ -533,6 +580,32 @@ class TestDescentOnEnumerated:
             assert is_fundamental(result.fundamental)
             assert ctx.classify_fundamental(result.fundamental) is not None
             assert ctx.replay_word(result.fundamental, result.word) == s
+
+    @pytest.mark.parametrize(
+        "q, a_expr, n, endings",
+        [
+            (5, "t", 3, {"result": 80, "constant": 48}),
+            (5, "1", 3, {"result": 480}),
+            (13, "t", 2, {"constant": 96}),
+        ],
+    )
+    def test_descent_matches_the_moves(self, q, a_expr, n, endings):
+        # every non-fundamental solution, in its degree-sorted order and
+        # reversed, descends on tuples exactly as by apply_generator and
+        # sort_triple: the same fundamental triple and word, or the same
+        # AllConstant arguments
+        ctx = context(PrimeModulus(q), a_expr)
+        make = functools.partial(Polynomial._make, ctx.p)
+        outcomes = Counter()
+        for x, y, z in solutions_up_to(ctx, n):
+            if len(y) == len(z):
+                continue
+            for order in ((x, y, z), (z, y, x)):
+                triple = MarkoffTriple(*map(make, order))
+                outcome = descent_outcome(MarkoffContext.descend, ctx, triple)
+                assert outcome == descent_outcome(descend_by_moves, ctx, triple)
+                outcomes[outcome[0]] += 1
+        assert dict(outcomes) == endings
 
 
 class TestInputChecks:

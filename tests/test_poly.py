@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,6 +32,7 @@ from markoff.poly import (
     render_poly,
     renderer,
 )
+from markoff.triples import MarkoffTriple
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -137,6 +139,28 @@ class TestStructure:
         assert f.to_json() == {"p": 13, "coeffs": [11, 10, 1]}
         assert Polynomial.from_json(f.to_json()) == f
         assert Polynomial.zero(P5).to_json() == {"p": 5, "coeffs": []}
+
+    def test_integer_coefficients_pass(self):
+        # ints and bools are integers (operator.index); each is reduced mod p
+        assert Polynomial(P13, [True, -1, 27]).coeffs == (1, 12, 1)
+        assert Polynomial(P13, (False, True)) == Polynomial.t(P13)
+
+    @pytest.mark.parametrize("coeff", [1.5, 2.0, "3", Fraction(3, 1)])
+    def test_non_integer_coefficients_refused(self, coeff):
+        # no coefficient is truncated or parsed: 1.5 used to read as 1, "3" as 3
+        with pytest.raises(TypeError):
+            Polynomial(P13, [coeff, True])
+        with pytest.raises(TypeError):
+            Polynomial.from_json({"p": 13, "coeffs": [2, coeff]})
+
+    def test_from_json_refuses_truncation(self):
+        with pytest.raises(TypeError):
+            Polynomial.from_json({"p": 13, "coeffs": [1.5, 2.9]})
+        obj = MarkoffTriple(Polynomial.t(P13), Polynomial.t(P13), Polynomial.t(P13)).to_json()
+        assert MarkoffTriple.from_json(obj).x == Polynomial.t(P13)
+        obj["y"] = {"p": 13, "coeffs": [0, 1.0]}
+        with pytest.raises(TypeError):
+            MarkoffTriple.from_json(obj)
 
     @pytest.mark.parametrize("field, value", [("coeffs", (1,)), ("modulus", P7), ("foo", 1)])
     def test_fields_cannot_be_assigned(self, field, value):

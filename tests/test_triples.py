@@ -13,6 +13,7 @@ from helpers import (
     P13,
     budget_fields,
     context,
+    descend_by_moves,
     dot_by_node,
     root_by_closed_forms,
     text_by_node,
@@ -275,6 +276,27 @@ class TestDescend:
         assert ctx.replay_word(result.fundamental, result.word) == node
         form = ctx.classify_fundamental(result.fundamental)
         assert isinstance(form, ZeroForm if family == "zero" else ConstantForm)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([P5, P13]).flatmap(nonconstant_polys),
+        st.sampled_from(["1", "2", "t", "t^2+1"]),
+        SIGNS,
+        SIGNS,
+        st.booleans(),
+        st.lists(st.sampled_from([1, 2]), max_size=8),
+        st.permutations(range(3)),
+    )
+    def test_descent_matches_the_moves(self, f, a_expr, a, sign, zero, word, order):
+        # descent on coefficient tuples gives the fundamental triple and word
+        # of the record moves, from a sigma word's node in any coordinate order
+        ctx = context(f.modulus, a_expr)
+        family = "zero" if zero or ctx.beta else "constant"
+        node = ctx.make_root(f, a, sign, family)
+        for branch in word:
+            node = sort_triple(ctx.apply_sigma(node, branch))[0]
+        node = MarkoffTriple(*(node.coords[k] for k in order))
+        assert ctx.descend(node) == descend_by_moves(ctx, node)
 
     def test_constant_orbit_has_no_fundamental(self):
         # (1, 2, 2t) = rho(1, 2, 0) over F_5, A = t: descent dead-ends on an
