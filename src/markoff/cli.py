@@ -26,9 +26,12 @@ command's arguments to the full parser.  When argv names no command, or the
 command's parser leaves arguments over, the full parser parses argv again,
 so every usage error, help text and exit code is argparse's own.  Each
 parser is built on its first use in the process and reused by every later
-call; nothing mutates it, and each parse fills a fresh Namespace.  JSON
-strings are quoted by CPython's C encoder; only a float, an int subclass or
-an unsupported value loads the json package, to be written as json.dumps
+call; nothing mutates it, and each parse fills a fresh Namespace.  The
+parsers are the only objects kept from one call to the next.  Each JSON
+output converts its ints to text through one `poly._Texts` memo of its own,
+which keeps the text of each int in [0, poly.MAX_KEPT_TEXTS).  JSON strings
+are quoted by CPython's C encoder; only a float, an int subclass or an
+unsupported value loads the json package, to be written as json.dumps
 writes it.
 """
 
@@ -45,7 +48,7 @@ from .counting import C_A_from_C_beta, count_C_beta, count_finite_field, cumulat
 from .errors import BudgetExceeded, MarkoffError, ParseError
 from .field import PrimeModulus, sqrt_minus_one
 from .oracle import CONVENTIONS, census
-from .poly import NEG_INF, parse_poly
+from .poly import NEG_INF, _Texts, parse_poly
 from .triples import ConstantForm, MarkoffContext, MarkoffTriple, ZeroForm, is_fundamental
 
 
@@ -80,41 +83,18 @@ def _signature_json(triple: MarkoffTriple) -> list:
     return [None if d == NEG_INF else d for d in triple.signature()]
 
 
-# The writer keeps the text of each int in [0, MAX_CACHED_TEXTS) in a cache
-# made per _emit call, so its memory is bounded whatever the output: full, it
-# holds about 0.5 MB (tracemalloc, CPython 3.11).  Each residue mod p < 4096 is
-# converted once: the depth-10 tree at p = 13 writes 360,433 coefficients of 13
-# distinct values.  Any other int misses, and a miss costs a Python call more
-# than str alone.  Keys are quoted by json's C encoder, as json.dumps quotes a
-# string.  Writer time against str and json.dumps per value, best of 9 runs
-# in each of 3-5 interleaved processes (2-vCPU x86-64 host): that tree 98-150
-# -> 52-83 ms, but a depth-9 tree at p = 2147483629, where nearly every int
-# misses, 61-75 -> 84-165 ms.  No benchmark workload writes such a tree.
-MAX_CACHED_TEXTS = 1 << 12
-
-
-class _IntTexts(dict):
-    """Text of an int; the text of one in [0, MAX_CACHED_TEXTS) is kept."""
-
-    def __missing__(self, value):
-        text = str(value)
-        if 0 <= value < MAX_CACHED_TEXTS:
-            self[value] = text
-        return text
-
-
 def _emit(obj):
     """Print obj as indent-2 JSON and a newline, piece by piece, so that the
     document is never held as one string; lists, tuples and their subclasses
     are written as arrays, and keys are strings."""
     write = sys.stdout.write
-    _write_json(obj, "\n", write, _IntTexts())
+    _write_json(obj, "\n", write, _Texts())
     write("\n")
 
 
 def _write_json(value, pad, write, ints):
     # pad is a newline and the indent of the line that value starts on; ints
-    # is the _emit call's text cache
+    # is the _emit call's text memo
     kind = type(value)
     if kind is int:
         write(ints[value])

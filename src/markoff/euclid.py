@@ -35,6 +35,8 @@ def euclid_branch(triple: EuclidTriple, beta: int, branch: int) -> EuclidTriple:
     t1, t2, t3 = triple
     if min(t1, t2, t3) < 1:
         raise ValueError("components must be positive")
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
     if branch == 1:
         return EuclidTriple(t2, t3, t2 + t3 + beta)
     if branch == 2:
@@ -42,11 +44,16 @@ def euclid_branch(triple: EuclidTriple, beta: int, branch: int) -> EuclidTriple:
     raise ValueError("branch must be 1 or 2")
 
 
-def root(tree: TreeId) -> EuclidTriple:
-    """Root (alpha, alpha, 2*alpha + beta); needs alpha >= 1 and beta >= 0."""
+def _check_tree(tree: TreeId) -> TreeId:
     if tree.alpha < 1 or tree.beta < 0:
         raise ValueError(f"tree needs alpha >= 1 and beta >= 0, got {tuple(tree)}")
-    return EuclidTriple(tree.alpha, tree.alpha, 2 * tree.alpha + tree.beta)
+    return tree
+
+
+def root(tree: TreeId) -> EuclidTriple:
+    """Root (alpha, alpha, 2*alpha + beta); needs alpha >= 1 and beta >= 0."""
+    alpha, beta = _check_tree(tree)
+    return EuclidTriple(alpha, alpha, 2 * alpha + beta)
 
 
 def layers(tree: TreeId, depth: int) -> list[list[tuple[int, int, int]]]:
@@ -85,7 +92,7 @@ def map_unit(unit: EuclidTriple, tree: TreeId) -> EuclidTriple:
     triple; layers are preserved."""
     if not on_unit_tree(unit):
         raise NotOnUnitTree(f"{tuple(unit)} is not on the (1,0)-Euclid tree")
-    alpha, beta = tree
+    alpha, beta = _check_tree(tree)
     return EuclidTriple(*(n * alpha + (n - 1) * beta for n in unit))
 
 

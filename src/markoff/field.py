@@ -8,8 +8,6 @@ smaller of the two integer representatives, so outputs are deterministic
 
 from __future__ import annotations
 
-import functools
-
 from .record import Record, _set
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10^24 (covers 64-bit).
@@ -90,7 +88,6 @@ def _sqrt_int(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-@functools.lru_cache(maxsize=None)
 def sqrt_minus_one(modulus: PrimeModulus) -> int | None:
     """Canonical i with i*i = -1, or None when p = 3 (mod 4)."""
     if modulus.p % 4 != 1:

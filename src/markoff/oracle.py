@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
 from itertools import chain, permutations, product
 
 from .counting import count_finite_field
 from .errors import AllConstant, BudgetExceeded
 from .euclid import TreeId, root
-from .field import _sqrt_int
-from .poly import _SLOT_CODES, Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
+from .field import sqrt_minus_one
+from .poly import Polynomial, _add, _mul, _smul, _sqrt_coeffs, _sub
 from .record import Record, _set
 from .triples import MarkoffContext, MarkoffTriple
 
@@ -92,10 +91,9 @@ def _solutions(ctx: MarkoffContext, height: int):
     degree <= 2 deg y: one has degree `height`, the other too or below deg y."""
     q = ctx.p.p
     if q % 4 == 1:
-        # x = 0: z = +-i*y, with i found here and not by the process-cached
-        # sqrt_minus_one, so that every census makes the same _sqrt_int calls;
-        # the three orders run in lockstep, so z is never computed
-        i = _sqrt_int(q - 1, q)
+        # x = 0: z = +-i*y; the three orders run in lockstep, so z is never
+        # computed
+        i = sqrt_minus_one(ctx.p)
         for y, z, w in zip(
             _polys_of_degree(q, height),
             _polys_of_degree(q, height, [c * i % q for c in range(q)]),
@@ -109,17 +107,16 @@ def _solutions(ctx: MarkoffContext, height: int):
     # x != 0: disc = (Axy)^2 - 4(x^2 + y^2) = u*y^2 - v with u = (Ax)^2 - 4
     # and v = 4x^2.  A pair whose disc(c) is a non-square at some point c is
     # dropped unsolved.  Every polynomial of degree <= span is held beside its
-    # square and that square's values at the points, in the narrowest array
-    # slot, one array shared by all polynomials with equal values, so that at
-    # q = 5 at most 3^5 arrays are held.
+    # square and that square's values at the points, one tuple of values
+    # shared by all polynomials with equal values, so that at q = 5 at most
+    # 3^5 tuples are held.
     squares = {c * c % q for c in range(q)}
     powers = [[pow(c, e, q) for e in range(height + 1)] for c in range(q)]
-    code = _SLOT_CODES[(q.bit_length() + 7) // 8]
     seen = {}
 
     def square_values(f):
-        values = array(code, [sum(map(operator.mul, f, row)) ** 2 % q for row in powers])
-        return seen.setdefault(values.tobytes(), values)
+        values = tuple([sum(map(operator.mul, f, row)) ** 2 % q for row in powers])
+        return seen.setdefault(values, values)
 
     by_degree = [
         [(f, _mul(f, f, q), square_values(f)) for f in _polys_of_degree(q, d)]

@@ -481,45 +481,39 @@ class _Parser:
 
 
 # ----------------------------------------------------------------------
-# renderer
+# text memo and renderer
 
 
-# The most signed factors a renderer keeps.  At p = 13 it meets at most 12;
-# at a large p nearly every coefficient of a tree is distinct, and a factor
-# found beyond this many is worked out again at each use rather than kept.
-MAX_KEPT_FACTORS = 1 << 12
+# An export keeps the text of each key in [0, MAX_KEPT_TEXTS) in one `_Texts`
+# memo made for it and let go with it, about 0.5 MB when full (tracemalloc,
+# CPython 3.11), so each residue mod p < 4096 is converted once: the depth-10
+# tree at p = 13 writes 360,433 coefficients of 13 distinct values.  Any other
+# key, such as most coefficients at a large p, is converted again at each use.
+# That tree's JSON took 98-150 ms with str per int and 52-83 ms with the memo
+# (best of 9 runs in 3-5 interleaved processes, 2-vCPU x86-64 host).
+MAX_KEPT_TEXTS = 1 << 12
 
 
-class _Factors(dict):
-    """Signed factor of each coefficient, such as "+", "-3*" or "-2*i*";
-    inv_i is 1/i in the with_i style, None in plain."""
+class _Texts(dict):
+    """Text of each key, made by `convert` (str, unless an instance sets its
+    own) at the key's first use; the text of a key in [0, MAX_KEPT_TEXTS) is
+    kept."""
 
-    def __init__(self, p, inv_i):
-        super().__init__({0: ""})  # a zero term is dropped whatever its text
-        self.p = p
-        self.inv_i = inv_i
+    convert = str
 
-    def __missing__(self, c):
-        p, mag, sign, unit = self.p, c, "+", ""
-        if self.inv_i is not None:
-            v = c * self.inv_i % p
-            # v = +-c would need i = +-1, so a real and an imaginary form never tie
-            if min(v, p - v) < min(c, p - c):
-                mag, unit = v, "i*"
-            if mag > p - mag:
-                mag, sign = p - mag, "-"
-        factor = sign + ("" if mag == 1 else f"{mag}*") + unit
-        if len(self) < MAX_KEPT_FACTORS:
-            self[c] = factor
-        return factor
+    def __missing__(self, key):
+        text = self.convert(key)
+        if 0 <= key < MAX_KEPT_TEXTS:
+            self[key] = text
+        return text
 
 
 def renderer(modulus: PrimeModulus, style: str = "plain"):
     """render_poly for polynomials mod modulus.p in one style, as a function
     of the polynomial.  It keeps the signed factor of each coefficient it
-    meets and the text of each power of t, so one export, which renders many
-    polynomials over few distinct coefficients, works each out once; make
-    one per export and let it go with the export."""
+    meets in a `_Texts` memo, and the text of each power of t, so one export,
+    which renders many polynomials over few distinct coefficients, works each
+    out once; make one per export and let it go with the export."""
     if style not in ("plain", "with_i"):
         raise ValueError(f"unknown style {style!r}")
     p, inv_i = modulus.p, None
@@ -528,7 +522,22 @@ def renderer(modulus: PrimeModulus, style: str = "plain"):
         if i is None:
             raise IUnavailable(f"with_i rendering needs p = 1 (mod 4), got p = {p}")
         inv_i = pow(i, -1, p)
-    factors = _Factors(p, inv_i).__getitem__
+
+    def signed(c):
+        # the signed factor of coefficient c, such as "+", "-3*" or "-2*i*"
+        mag, sign, unit = c, "+", ""
+        if inv_i is not None:
+            v = c * inv_i % p
+            # v = +-c would need i = +-1, so a real and an imaginary form never tie
+            if min(v, p - v) < min(c, p - c):
+                mag, unit = v, "i*"
+            if mag > p - mag:
+                mag, sign = p - mag, "-"
+        return sign + ("" if mag == 1 else f"{mag}*") + unit
+
+    texts = _Texts({0: ""})  # a zero term is dropped whatever its text
+    texts.convert = signed
+    factors = texts.__getitem__
     powers = ["", "t"]  # powers[k] is the text of t^k for k >= 1
 
     def render(f: Polynomial) -> str:

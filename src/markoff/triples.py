@@ -44,11 +44,13 @@ MAX_TREE_COEFFS = 1 << 22
 
 
 class Swap(Record):
-    """Transposition of coordinates i and j (1-based)."""
+    """Transposition of coordinates i and j (1-based); i = j is the identity."""
 
     __slots__ = ("i", "j")
 
     def __init__(self, i: int, j: int):
+        if i not in (1, 2, 3) or j not in (1, 2, 3):
+            raise ValueError(f"swap needs coordinates in 1..3, got ({i}, {j})")
         _set(self, "i", i)
         _set(self, "j", j)
 
@@ -57,11 +59,13 @@ class Swap(Record):
 
 
 class DoubleNeg(Record):
-    """Negation of coordinates i and j (1-based)."""
+    """Negation of coordinates i and j (1-based), i != j."""
 
     __slots__ = ("i", "j")
 
     def __init__(self, i: int, j: int):
+        if i not in (1, 2, 3) or j not in (1, 2, 3) or i == j:
+            raise ValueError(f"dneg needs two distinct coordinates in 1..3, got ({i}, {j})")
         _set(self, "i", i)
         _set(self, "j", j)
 

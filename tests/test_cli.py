@@ -25,11 +25,12 @@ from helpers import (
     solutions_up_to,
     triple_of,
 )
+import markoff.poly
 from markoff import cli, euclid, oracle
 from markoff.cli import main
 from markoff.counting import MAX_COUNT_DIGITS, MAX_DIVISOR_TERMS, MAX_TRIAL_DIVISOR
 from markoff.field import PrimeModulus
-from markoff.poly import MAX_PARSE_DEGREE, parse_poly, render_poly
+from markoff.poly import MAX_KEPT_TEXTS, MAX_PARSE_DEGREE, parse_poly, render_poly
 from markoff.triples import MarkoffTriple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -219,7 +220,7 @@ json_scalars = st.one_of(
     st.text(),
     st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u20ac", "\U0001f600"])),
 )
-CACHED = cli.MAX_CACHED_TEXTS
+CACHED = MAX_KEPT_TEXTS
 json_values = st.recursive(
     json_scalars,
     lambda children: st.one_of(
@@ -268,6 +269,27 @@ class TestEmit:
         with contextlib.redirect_stdout(out):
             cli._emit(value)
         assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+    def test_memo_keeps_only_keys_below_its_bound(self, monkeypatch):
+        monkeypatch.setattr(markoff.poly, "MAX_KEPT_TEXTS", 3)
+        memos = []
+
+        class Recorded(markoff.poly._Texts):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(cli, "_Texts", Recorded)
+        value = {
+            "ints": list(range(-5, 40)) * 2,
+            "nested": [[7, 7, 1, 2], (0, 1, 2, 2, 10**30), {"n": 2, "m": 5000}],
+            "n": 2,
+        }
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(value)
+        assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+        assert len(memos) == 1 and set(memos[0]) == {0, 1, 2}
 
     def test_tree_is_written_piece_by_piece(self):
         stdout = RecordingStdout()

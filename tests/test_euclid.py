@@ -52,12 +52,22 @@ class TestBranching:
         with pytest.raises(ValueError, match="^branch must be 1 or 2$"):
             euclid_branch(EuclidTriple(1, 1, 2), 0, 3)
 
-    @pytest.mark.parametrize("tree", [TreeId(0, 0), TreeId(1, -1)])
+    def test_rejects_negative_beta(self):
+        # (1, 1, 2) at beta = -3 would branch to (1, 2, 0), not a vertex
+        with pytest.raises(ValueError, match="^beta must be non-negative$"):
+            euclid_branch(EuclidTriple(1, 1, 2), -3, 1)
+
+    @pytest.mark.parametrize("tree", [TreeId(0, 0), TreeId(1, -1), TreeId(-2, 1)])
     def test_rejects_invalid_tree(self, tree):
         with pytest.raises(ValueError):
             root(tree)
         with pytest.raises(ValueError):
             layer(tree, 0)
+        # map_unit would map (1, 2, 3) to (0, 0, 0) on TreeId(0, 0), and to
+        # (-2, -3, -4) on TreeId(-2, 1)
+        message = rf"^tree needs alpha >= 1 and beta >= 0, got \({tree.alpha}, {tree.beta}\)$"
+        with pytest.raises(ValueError, match=message):
+            map_unit(EuclidTriple(1, 2, 3), tree)
 
 
 class TestLayers:

@@ -15,6 +15,7 @@ from helpers import (
     triple_of,
 )
 import markoff.cli
+import markoff.field
 import markoff.oracle
 import markoff.poly
 from markoff.errors import BudgetExceeded, IUnavailable, ModulusMismatch, ParseError
@@ -660,13 +661,28 @@ class TestRenderer:
             assert render(f) == render_by_candidates(f, style)
 
     def test_renderer_past_its_kept_factors(self, monkeypatch):
-        # factors beyond MAX_KEPT_FACTORS are worked out again at each use
-        monkeypatch.setattr(markoff.poly, "MAX_KEPT_FACTORS", 3)
+        # factors of keys outside [0, MAX_KEPT_TEXTS) are worked out again at
+        # each use
+        monkeypatch.setattr(markoff.poly, "MAX_KEPT_TEXTS", 3)
         rng = random.Random(7)
         render = renderer(P_WIDE, "with_i")
         polys = [poly_of_degree(rng, P_WIDE, degree) for degree in (0, 5, 40, 5, 0)]
         for f in polys * 2:
             assert render(f) == render_by_candidates(f, "with_i")
+
+    def test_sqrt_minus_one_is_worked_out_at_each_call(self, monkeypatch):
+        # no cache outlives a render: the second makes the square-root calls
+        # the first made
+        calls = []
+        sqrt_int = markoff.field._sqrt_int
+        monkeypatch.setattr(
+            markoff.field, "_sqrt_int", lambda a, p: calls.append((a, p)) or sqrt_int(a, p)
+        )
+        f = Polynomial(P13, [5, 0, 8])
+        assert render_poly(f, "with_i") == "-i*t^2+i"
+        first = len(calls)
+        assert render_poly(f, "with_i") == "-i*t^2+i"
+        assert first >= 1 and len(calls) == 2 * first
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(st.one_of(st.integers(-1, 6), st.integers(7, 1200)), st.randoms(use_true_random=False))

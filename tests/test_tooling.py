@@ -2,9 +2,11 @@
 the README shows run, and no module imports a name it never reads."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -54,6 +56,25 @@ def test_traced_census_grid_smoke_run():
     assert report["correct"] is True and report["failed"] == 0, report
     for pattern in ("trace target absent", "trace counter failed", "exact count"):
         assert pattern not in result.stderr
+
+
+def test_no_cache_outlives_a_call_but_the_parsers():
+    # every function or method with an lru_cache, in the package and each of
+    # its modules, under every name it has there
+    cached = set()
+    modules = [markoff] + [
+        importlib.import_module(f"markoff.{info.name}")
+        for info in pkgutil.iter_modules(markoff.__path__)
+    ]
+    for module in modules:
+        for name, value in vars(module).items():
+            members = [(name, value)]
+            if isinstance(value, type):
+                members += [(f"{name}.{attr}", item) for attr, item in vars(value).items()]
+            cached.update(
+                f"{module.__name__}.{key}" for key, item in members if hasattr(item, "cache_info")
+            )
+    assert cached == {"markoff.cli.build_parser", "markoff.cli._leaf_parser"}
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

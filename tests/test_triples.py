@@ -134,9 +134,28 @@ class TestGenerators:
             assert twice == triple
 
     def test_generators_preserve_solutions(self):
-        node = triple_of(GOLDEN_TREE[4], P13)
-        for gen in (Swap(1, 2), Swap(2, 3), DoubleNeg(1, 3), RHO):
-            assert CTX1.is_solution(CTX1.apply_generator(node, gen))
+        # every generator the constructors accept, Swap(i, i) the identity
+        gens = [Swap(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+        gens += [DoubleNeg(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+        for text in (GOLDEN_ROOT, GOLDEN_TREE[4]):
+            node = triple_of(text, P13)
+            for gen in (*gens, RHO):
+                assert CTX1.is_solution(CTX1.apply_generator(node, gen)), gen
+            assert CTX1.apply_generator(node, Swap(2, 2)) == node
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 3), (1, 4), (4, 4), (-1, 2), (1, 0)])
+    def test_out_of_range_coordinates_are_refused(self, pair):
+        with pytest.raises(ValueError, match=r"^swap needs coordinates in 1\.\.3"):
+            Swap(*pair)
+        with pytest.raises(ValueError, match=r"^dneg needs two distinct coordinates"):
+            DoubleNeg(*pair)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_double_neg_of_one_coordinate_is_refused(self, i):
+        # it would negate coordinate i alone, which leaves the surface
+        message = rf"^dneg needs two distinct coordinates in 1\.\.3, got \({i}, {i}\)$"
+        with pytest.raises(ValueError, match=message):
+            DoubleNeg(i, i)
 
 
 class TestSigma:
